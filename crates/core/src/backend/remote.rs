@@ -4,7 +4,8 @@
 //! `sdl-lab serve` hosts (see `sdl-portal-server`): `open` creates a
 //! simulated-lab session on the worker from this scenario's configuration,
 //! `submit_batch` round-trips one batch of proposals for one batch of
-//! measurements, and `close` tears the session down and collects the final
+//! measurements (and the plate frame, as raw bytes after the reply's JSON
+//! head), and `close` tears the session down and collects the final
 //! telemetry. All payloads go through [`crate::backend::wire`], so a
 //! campaign executed remotely is bit-identical to the same campaign
 //! executed in-process.
@@ -13,14 +14,20 @@
 //! `Content-Length`-framed — the dialect the portal server speaks).
 
 use crate::app::AppError;
+use crate::backend::wire::{self, BatchReply};
 use crate::backend::RetryPolicy;
-use crate::backend::{wire, BackendCaps, BackendClose, Batch, BatchResult, LabBackend};
+use crate::backend::{BackendCaps, BackendClose, Batch, BatchResult, LabBackend};
 use crate::chaos::{ChaosPolicy, ChaosStream};
 use crate::config::AppConfig;
 use sdl_conf::{from_json, to_json, Value, ValueExt};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
+
+/// Largest response body accepted from a worker. A `/v1/batch` reply
+/// carries one plate frame (~0.9 MB at 640×480); a `Content-Length` past
+/// this is a broken or hostile peer, refused before allocating for it.
+const MAX_RESPONSE: usize = 64 * 1024 * 1024;
 
 /// A lab backend executing on a remote `sdl-lab serve` worker.
 pub struct RemoteBackend {
@@ -201,7 +208,7 @@ impl RemoteBackend {
         )))
     }
 
-    /// POST `body` to `path`, parse the JSON response.
+    /// POST `body` to `path`, return the response body.
     ///
     /// The worker reaps idle keep-alive connections, so a request that
     /// provably never reached it — the write failed, or the connection
@@ -211,7 +218,7 @@ impl RemoteBackend {
     /// (Resending is additionally safe on the worker side: the lab host
     /// replays a duplicate run number's cached response instead of
     /// executing the batch twice.)
-    fn post(&mut self, path: &str, body: &Value) -> Result<Value, AppError> {
+    fn post(&mut self, path: &str, body: &Value) -> Result<Vec<u8>, AppError> {
         let payload = to_json(body);
         let mut retry = 0u32;
         loop {
@@ -247,7 +254,14 @@ impl RemoteBackend {
         }
     }
 
-    fn try_post(&mut self, path: &str, payload: &str) -> Result<Value, PostError> {
+    /// POST `body` to `path`, parse the JSON response.
+    fn post_json(&mut self, path: &str, body: &Value) -> Result<Value, AppError> {
+        let body = self.post(path, body)?;
+        from_json(&String::from_utf8_lossy(&body))
+            .map_err(|e| AppError::Backend(format!("{}{path}: bad response JSON: {e}", self.addr)))
+    }
+
+    fn try_post(&mut self, path: &str, payload: &str) -> Result<Vec<u8>, PostError> {
         let addr = self.addr.clone();
         // Chaos rolls happen up front, in a fixed order, every try — five
         // counter ticks per post whatever the outcome — so a fault schedule
@@ -380,6 +394,11 @@ impl RemoteBackend {
         let length = length.ok_or_else(|| {
             PostError::Fatal(AppError::Backend(format!("{addr}{path}: missing content-length")))
         })?;
+        if length > MAX_RESPONSE {
+            return Err(PostError::Fatal(AppError::Backend(format!(
+                "{addr}{path}: response of {length} bytes exceeds the {MAX_RESPONSE}-byte limit"
+            ))));
+        }
         let mut body = vec![0u8; length];
         conn.reader.read_exact(&mut body).map_err(|e| PostError::Fatal(err(e)))?;
         if inject_replay {
@@ -392,26 +411,26 @@ impl RemoteBackend {
                 "{addr}{path}: chaos: discarded response to force replay"
             ))));
         }
-        let text = String::from_utf8_lossy(&body);
+        // Only error bodies are read as text: a batch reply's frame is
+        // binary, and a lossy copy of it would be wasted work.
+        let text = || String::from_utf8_lossy(&body).trim().to_string();
         if status == 429 || status == 503 {
             // A load shed, not a failure: the worker is alive and asked us
             // to slow down. Surfaced as backpressure so the caller throttles
             // this worker instead of evicting it.
             self.stats.sheds += 1;
             return Err(PostError::Throttled(AppError::Backpressure {
-                message: format!("{addr}{path}: HTTP {status}: {}", text.trim()),
+                message: format!("{addr}{path}: HTTP {status}: {}", text()),
                 retry_after: retry_after.map(Duration::from_secs),
             }));
         }
         if status >= 400 {
             return Err(PostError::Fatal(AppError::Backend(format!(
                 "{addr}{path}: HTTP {status}: {}",
-                text.trim()
+                text()
             ))));
         }
-        from_json(&text).map_err(|e| {
-            PostError::Fatal(AppError::Backend(format!("{addr}{path}: bad response JSON: {e}")))
-        })
+        Ok(body)
     }
 
     fn session_path(&self, route: &str) -> Result<String, AppError> {
@@ -436,7 +455,7 @@ impl LabBackend for RemoteBackend {
         // built-in fallback kind.
         let mut config = self.config.to_value();
         config.set("solver", self.config.solver.name());
-        let response = self.post("/v1/experiments", &config)?;
+        let response = self.post_json("/v1/experiments", &config)?;
         let session = response
             .opt_str("session")
             .ok_or_else(|| AppError::Backend("worker returned no session id".into()))?
@@ -461,23 +480,21 @@ impl LabBackend for RemoteBackend {
 
     fn submit_batch(&mut self, batch: &Batch) -> Result<BatchResult, AppError> {
         let path = self.session_path("batch")?;
-        let response = self.post(&path, &wire::batch_to_value(batch))?;
-        if let Some(kind) = response.opt_str("error_kind") {
+        let body = self.post(&path, &wire::batch_to_value(batch))?;
+        match wire::decode_result(&body) {
+            Ok(BatchReply::Done(result)) => Ok(result),
             // Lab-side aborts tunnel through as structured errors so the
             // session can map them onto termination criteria.
-            if kind == "out_of_plates" {
-                return Err(out_of_plates_error());
-            }
+            Ok(BatchReply::OutOfPlates) => Err(out_of_plates_error()),
+            Err(e) => Err(AppError::Backend(format!("bad batch result: {e}"))),
         }
-        wire::result_from_value(&response)
-            .map_err(|e| AppError::Backend(format!("bad batch result: {e}")))
     }
 
     fn close(&mut self, samples_measured: u32) -> Result<BackendClose, AppError> {
         let path = self.session_path("close")?;
         let mut body = Value::map();
         body.set("samples", samples_measured as i64);
-        let response = self.post(&path, &body)?;
+        let response = self.post_json(&path, &body)?;
         self.session = None;
         wire::close_from_value(&response)
             .map_err(|e| AppError::Backend(format!("bad close result: {e}")))

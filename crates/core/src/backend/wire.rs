@@ -5,14 +5,15 @@
 //! these functions, so the protocol has exactly one definition. Everything
 //! that must survive the trip bit-exactly does: ratios ride as JSON floats
 //! (shortest-round-trip formatting), colors as integers, times as integer
-//! microseconds, plate frames as hex.
+//! microseconds. Plate frames ride as raw bytes after the `/v1/batch`
+//! response's JSON head ([`encode_result`]), never inside JSON.
 
 use crate::backend::{BackendCaps, BackendClose, Batch, BatchResult, WellMeasurement};
 use crate::config::ConfigError;
 use crate::metrics::SdlMetrics;
 use bytes::Bytes;
 use sdl_color::Rgb8;
-use sdl_conf::{Value, ValueExt};
+use sdl_conf::{from_json, to_json, Value, ValueExt};
 use sdl_desim::{SimDuration, SimTime};
 use sdl_instruments::WellIndex;
 use sdl_wei::Counters;
@@ -81,7 +82,9 @@ pub fn batch_from_value(v: &Value) -> Result<Batch, ConfigError> {
     Ok(Batch { run, ratios })
 }
 
-/// Encode a batch result (the `/v1/batch` response body).
+/// Encode a batch result's JSON head: measurements, times, the timing log,
+/// and `image_len` when a frame follows. The frame itself is not part of
+/// the head; [`encode_result`] appends it.
 pub fn result_to_value(result: &BatchResult) -> Value {
     let mut measurements = Value::seq();
     for m in &result.measurements {
@@ -102,13 +105,24 @@ pub fn result_to_value(result: &BatchResult) -> Value {
         v.set("timing", timing.clone());
     }
     if let Some(image) = &result.image {
-        v.set("image_hex", hex_encode(image).as_str());
+        v.set("image_len", image.len() as i64);
     }
     v
 }
 
-/// Decode a batch result.
+/// The fields a batch-result head may carry. Anything else — say the hex
+/// frame field of a peer that still ships frames inside the JSON — is
+/// refused, so a mismatched peer fails loudly instead of losing its frames.
+const RESULT_FIELDS: [&str; 5] =
+    ["measurements", "elapsed_us", "batch_wall_us", "timing", "image_len"];
+
+/// Decode a batch result's JSON head. The result carries no frame;
+/// [`decode_result`] attaches the one that follows the head.
 pub fn result_from_value(v: &Value) -> Result<BatchResult, ConfigError> {
+    let fields = v.as_map().ok_or_else(|| bad("batch result must be a map"))?;
+    if let Some((key, _)) = fields.iter().find(|(k, _)| !RESULT_FIELDS.contains(&k.as_str())) {
+        return Err(bad(format!("unknown batch result field '{key}'")));
+    }
     let rows = v
         .get("measurements")
         .and_then(Value::as_seq)
@@ -129,10 +143,6 @@ pub fn result_from_value(v: &Value) -> Result<BatchResult, ConfigError> {
             color: Rgb8::new(ch[0] as u8, ch[1] as u8, ch[2] as u8),
         });
     }
-    let image = match v.opt_str("image_hex") {
-        Some(hex) => Some(Bytes::from(hex_decode(hex)?)),
-        None => None,
-    };
     Ok(BatchResult {
         measurements,
         elapsed: SimTime::from_micros(need_u64(v, "elapsed_us")?),
@@ -142,8 +152,76 @@ pub fn result_from_value(v: &Value) -> Result<BatchResult, ConfigError> {
             v.opt_i64("batch_wall_us").map(|us| us.max(0) as u64).unwrap_or(0),
         ),
         timing: v.get("timing").cloned(),
-        image,
+        image: None,
     })
+}
+
+/// A decoded `/v1/batch` response body.
+#[derive(Debug)]
+pub enum BatchReply {
+    /// The batch ran: its result, with the frame when one followed.
+    Done(BatchResult),
+    /// The sciclops ran dry before the batch could be mixed. The worker
+    /// tunnels this termination criterion as a frameless
+    /// `{"error_kind": "out_of_plates", "error": …}` head.
+    OutOfPlates,
+}
+
+/// Encode a batch result as the `/v1/batch` response body: the compact
+/// JSON head ([`result_to_value`]) and, when the result carries a plate
+/// frame, one `\n` followed by the frame's raw bytes.
+///
+/// Compact JSON never holds a raw newline (strings escape it), so the first
+/// `\n` of a body always ends the head, whatever bytes the frame holds.
+pub fn encode_result(result: &BatchResult) -> Vec<u8> {
+    let head = to_json(&result_to_value(result));
+    let frame = result.image.as_deref();
+    let mut body = Vec::with_capacity(head.len() + 1 + frame.map_or(0, <[u8]>::len));
+    body.extend_from_slice(head.as_bytes());
+    if let Some(frame) = frame {
+        body.push(b'\n');
+        body.extend_from_slice(frame);
+    }
+    body
+}
+
+/// Decode a `/v1/batch` response body ([`encode_result`]'s output, or the
+/// out-of-plates head). The head must be UTF-8 JSON; `image_len` must be
+/// present exactly when a frame follows the head, and equal its length.
+/// Any other body is an error, never a panic.
+pub fn decode_result(body: &[u8]) -> Result<BatchReply, ConfigError> {
+    let (head, frame) = match body.iter().position(|&b| b == b'\n') {
+        Some(at) => (&body[..at], Some(&body[at + 1..])),
+        None => (body, None),
+    };
+    let head = std::str::from_utf8(head).map_err(|e| bad(format!("head is not UTF-8: {e}")))?;
+    let head = from_json(head).map_err(|e| bad(format!("bad head JSON: {e}")))?;
+    if let Some(kind) = head.opt_str("error_kind") {
+        return match (kind, frame) {
+            ("out_of_plates", None) => Ok(BatchReply::OutOfPlates),
+            _ => Err(bad(format!("unexpected lab error '{kind}'"))),
+        };
+    }
+    let image_len = match head.get("image_len") {
+        None => None,
+        Some(n) => Some(
+            n.as_i64()
+                .and_then(|n| usize::try_from(n).ok())
+                .ok_or_else(|| bad("'image_len' must be a non-negative integer"))?,
+        ),
+    };
+    let image = match (image_len, frame) {
+        (None, None) => None,
+        (Some(len), Some(frame)) if len == frame.len() => Some(Bytes::copy_from_slice(frame)),
+        (Some(len), Some(frame)) => {
+            return Err(bad(format!("'image_len' is {len} but {} frame bytes follow", frame.len())))
+        }
+        (Some(_), None) => return Err(bad("'image_len' is set but no frame follows the head")),
+        (None, Some(_)) => return Err(bad("bytes follow a head without 'image_len'")),
+    };
+    let mut result = result_from_value(&head)?;
+    result.image = image;
+    Ok(BatchReply::Done(result))
 }
 
 /// Encode the final accounting (the `/v1/close` response body).
@@ -214,36 +292,10 @@ pub fn close_from_value(v: &Value) -> Result<BackendClose, ConfigError> {
     })
 }
 
-/// Lower-hex encode bytes (plate frames on the wire).
-pub fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push(char::from_digit((b >> 4) as u32, 16).expect("nibble"));
-        out.push(char::from_digit((b & 0xf) as u32, 16).expect("nibble"));
-    }
-    out
-}
-
-/// Decode [`hex_encode`] output.
-pub fn hex_decode(hex: &str) -> Result<Vec<u8>, ConfigError> {
-    let hex = hex.trim();
-    if !hex.len().is_multiple_of(2) {
-        return Err(bad("hex payload has odd length"));
-    }
-    let digits = hex.as_bytes();
-    let mut out = Vec::with_capacity(hex.len() / 2);
-    for pair in digits.chunks_exact(2) {
-        let hi = (pair[0] as char).to_digit(16).ok_or_else(|| bad("bad hex digit"))?;
-        let lo = (pair[1] as char).to_digit(16).ok_or_else(|| bad("bad hex digit"))?;
-        out.push(((hi << 4) | lo) as u8);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdl_conf::{from_json, to_json};
+    use proptest::prelude::*;
     use sdl_wei::Reliability;
 
     #[test]
@@ -263,8 +315,15 @@ mod tests {
         }
     }
 
+    fn done(body: &[u8]) -> BatchResult {
+        match decode_result(body).unwrap() {
+            BatchReply::Done(result) => result,
+            BatchReply::OutOfPlates => panic!("a result body decoded as out-of-plates"),
+        }
+    }
+
     #[test]
-    fn result_roundtrips_through_json() {
+    fn result_roundtrips_through_the_framed_body() {
         let result = BatchResult {
             measurements: vec![
                 WellMeasurement { well: WellIndex::new(0, 0), color: Rgb8::new(1, 2, 3) },
@@ -279,8 +338,7 @@ mod tests {
             }),
             image: Some(Bytes::from_static(b"BM\x00\x01\xfe\xff")),
         };
-        let json = to_json(&result_to_value(&result));
-        let back = result_from_value(&from_json(&json).unwrap()).unwrap();
+        let back = done(&encode_result(&result));
         assert_eq!(back.measurements, result.measurements);
         assert_eq!(back.elapsed, result.elapsed);
         assert_eq!(back.batch_wall, result.batch_wall);
@@ -290,6 +348,37 @@ mod tests {
         let mut v = result_to_value(&result);
         v.set("batch_wall_us", Value::Null);
         assert_eq!(result_from_value(&v).unwrap().batch_wall, sdl_desim::SimDuration::ZERO);
+    }
+
+    #[test]
+    fn out_of_plates_head_decodes_and_malformed_bodies_do_not() {
+        let oop = br#"{"error_kind":"out_of_plates","error":"sciclops: out of plates"}"#;
+        assert!(matches!(decode_result(oop), Ok(BatchReply::OutOfPlates)));
+        let framed = [&oop[..], b"\nBM"].concat();
+        assert!(decode_result(&framed).is_err(), "an error head carries no frame");
+        assert!(decode_result(br#"{"error_kind":"on_fire"}"#).is_err());
+
+        let head = r#"{"measurements":[],"elapsed_us":1,"batch_wall_us":2"#;
+        let with = |tail: &str| format!("{head}{tail}").into_bytes();
+        assert!(decode_result(&with("}")).is_ok());
+        // A head field the decoder does not know — such as a frame shipped
+        // inside the JSON by a mismatched peer — is refused, not dropped.
+        assert!(decode_result(&with(r#","frame":"424d"}"#)).is_err());
+        // `image_len` without a separator, negative, oversized, or short.
+        assert!(decode_result(&with(r#","image_len":2}"#)).is_err());
+        assert!(decode_result(&with(",\"image_len\":-1}\n")).is_err());
+        assert!(decode_result(&with(",\"image_len\":9223372036854775807}\nBM")).is_err());
+        assert!(decode_result(&with(",\"image_len\":3}\nBM")).is_err());
+        assert!(decode_result(&with(",\"image_len\":\"2\"}\nBM")).is_err());
+        // Bytes after a head that announced no frame.
+        assert!(decode_result(&with("}\n")).is_err());
+        assert!(decode_result(&with("}\nBM")).is_err());
+        // The head must be UTF-8.
+        let mut bad_utf8 = with(r#","timing":"x"}"#);
+        let at = bad_utf8.iter().position(|&b| b == b'x').unwrap();
+        bad_utf8[at] = 0xff;
+        assert!(decode_result(&bad_utf8).is_err());
+        assert!(decode_result(b"").is_err());
     }
 
     #[test]
@@ -324,11 +413,103 @@ mod tests {
         assert_eq!(back.plates_used, 2);
     }
 
-    #[test]
-    fn hex_roundtrips() {
-        let data: Vec<u8> = (0..=255).collect();
-        assert_eq!(hex_decode(&hex_encode(&data)).unwrap(), data);
-        assert!(hex_decode("abc").is_err());
-        assert!(hex_decode("zz").is_err());
+    /// Results with every field populated at random: timing strings hold
+    /// `\n`, quotes and control characters, and frames hold `\n` bytes.
+    fn arb_result() -> impl Strategy<Value = BatchResult> {
+        let well = (0..8usize, 0..12usize, any::<u8>(), any::<u8>(), any::<u8>()).prop_map(
+            |(row, col, r, g, b)| WellMeasurement {
+                well: WellIndex::new(row, col),
+                color: Rgb8::new(r, g, b),
+            },
+        );
+        let frame = proptest::collection::vec(prop_oneof![Just(b'\n'), any::<u8>()], 0..2048);
+        (
+            proptest::collection::vec(well, 0..8),
+            0..1u64 << 52,
+            0..1u64 << 52,
+            proptest::collection::vec(any::<String>(), 0..4),
+            any::<bool>(),
+            frame,
+            any::<bool>(),
+        )
+            .prop_map(|(measurements, elapsed, wall, steps, timed, frame, imaged)| {
+                let timing = timed.then(|| {
+                    let mut t = Value::map();
+                    t.set("workflow", steps.concat().as_str());
+                    t.set("steps", Value::Seq(steps.into_iter().map(Value::Str).collect()));
+                    t
+                });
+                BatchResult {
+                    measurements,
+                    elapsed: SimTime::from_micros(elapsed),
+                    batch_wall: SimDuration::from_micros(wall),
+                    timing,
+                    image: imaged.then(|| Bytes::from(frame)),
+                }
+            })
+    }
+
+    proptest! {
+        /// Arbitrary bytes never panic the decoder.
+        #[test]
+        fn decoder_never_panics_on_arbitrary_bytes(
+            body in proptest::collection::vec(any::<u8>(), 0..512),
+        ) {
+            let _ = decode_result(&body);
+        }
+
+        /// Nor does a real body with one byte overwritten and its tail cut.
+        #[test]
+        fn decoder_never_panics_on_damaged_bodies(
+            result in arb_result(),
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            cut in any::<usize>(),
+        ) {
+            let mut body = encode_result(&result);
+            let at = at % body.len();
+            body[at] = byte;
+            body.truncate(cut % (body.len() + 1));
+            let _ = decode_result(&body);
+        }
+
+        /// Encode then decode is the identity, frames and all.
+        #[test]
+        fn framed_body_roundtrips(result in arb_result()) {
+            let back = done(&encode_result(&result));
+            prop_assert_eq!(&back.measurements, &result.measurements);
+            prop_assert_eq!(back.elapsed, result.elapsed);
+            prop_assert_eq!(back.batch_wall, result.batch_wall);
+            prop_assert_eq!(&back.timing, &result.timing);
+            prop_assert_eq!(&back.image, &result.image);
+        }
+
+        /// Every proper prefix of a body is refused: a cut in the head
+        /// leaves broken JSON, a cut at the separator leaves `image_len`
+        /// with no frame, and a cut in the frame leaves it short.
+        #[test]
+        fn truncated_bodies_are_refused(result in arb_result(), cut in any::<usize>()) {
+            let body = encode_result(&result);
+            let cut = cut % body.len();
+            prop_assert!(decode_result(&body[..cut]).is_err(), "prefix of {} bytes", cut);
+            if let Some(frame) = &result.image {
+                let head = body.len() - frame.len() - 1;
+                prop_assert!(decode_result(&body[..head]).is_err());
+                if !frame.is_empty() {
+                    prop_assert!(decode_result(&body[..body.len() - 1]).is_err());
+                }
+            }
+        }
+
+        /// `image_len` must match the frame exactly.
+        #[test]
+        fn wrong_image_lengths_are_refused(result in arb_result(), len in any::<i64>()) {
+            let frame = result.image.clone().unwrap_or_default();
+            let mut head = result_to_value(&result);
+            head.set("image_len", len);
+            let body = [to_json(&head).as_bytes(), b"\n", &frame].concat();
+            let decoded = decode_result(&body);
+            prop_assert_eq!(decoded.is_ok(), len == frame.len() as i64, "image_len {}", len);
+        }
     }
 }

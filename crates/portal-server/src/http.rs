@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 const MAX_LINE: usize = 8 * 1024;
 /// Upper bound on the number of headers per request.
 const MAX_HEADERS: usize = 64;
-/// Upper bound on a request body (plate frames ride hex-encoded, so give
-/// them room).
+/// Upper bound on a request body. Requests carry configs and batches of
+/// ratios, never plate frames (those only travel in `/v1/batch` replies).
 pub const MAX_BODY: usize = 16 * 1024 * 1024;
 
 /// One parsed HTTP request head.

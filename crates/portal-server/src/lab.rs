@@ -7,21 +7,23 @@
 //! payloads are encoded by `sdl_core::wire`, the single protocol
 //! definition shared with the client.
 //!
-//! Routes (all JSON bodies):
+//! Routes (JSON bodies, except the plate frame of a `/v1/batch` reply):
 //!
 //! * `POST /v1/experiments` — body: an application config document; opens a
 //!   lab session, responds `{session, plate_capacity, dye_channels, …}`.
 //! * `POST /v1/batch?session=ID` — body: `{run, ratios}`; executes one
-//!   batch, responds `{measurements, elapsed_us, timing?, image_hex?}`.
+//!   batch, responds with the head `{measurements, elapsed_us, timing?,
+//!   image_len?}`, then `\n` and the raw BMP frame when there is one
+//!   (`sdl_core::wire::encode_result`).
 //! * `POST /v1/close?session=ID` — body: `{samples}`; disposes the plate,
 //!   responds the final telemetry, deletes the session.
 //! * `GET  /v1/sessions` — live session ids (diagnostics).
 //!
 //! Batch submission is **idempotent per run number**: the host caches each
-//! session's last response, and resubmitting the same `run` replays the
-//! cache instead of re-executing the lab. That makes the client's
-//! resend-on-lost-connection safe even when the worker read a request but
-//! failed before the response got out. Sessions abandoned by a crashed
+//! session's last encoded response body, and resubmitting the same `run`
+//! replays those bytes instead of re-executing the lab. That makes the
+//! client's resend-on-lost-connection safe even when the worker read a
+//! request but failed before the response got out. Sessions abandoned by a crashed
 //! client are evicted after [`SESSION_TTL`] of inactivity.
 
 use crate::http::{Request, Response};
@@ -100,14 +102,18 @@ struct Bucket {
 /// One hosted lab: the simulated backend plus idempotency bookkeeping.
 struct LabSession {
     backend: SimBackend,
-    /// The last executed batch's `(run, response)` — replayed verbatim if
-    /// the client resends the same run after a lost response.
-    last_batch: Option<(u32, Value)>,
+    /// The last executed batch's `(run, response body)` — replayed
+    /// verbatim if the client resends the same run after a lost response.
+    last_batch: Option<(u32, Vec<u8>)>,
     last_used: Instant,
 }
 
 /// Closed-session responses kept for lost-response replay.
 const CLOSED_CACHE: usize = 64;
+
+/// A `/v1/batch` reply is a JSON head followed by raw frame bytes, so it is
+/// not labelled as JSON.
+const BATCH_CONTENT_TYPE: &str = "application/octet-stream";
 
 /// Lock-free dispatch counters for the batch-execution API, rendered next
 /// to the route metrics at `GET /metrics` (`sdl_lab_*`). These are what a
@@ -606,17 +612,16 @@ impl LabHost {
         if let Some((run, cached)) = &state.last_batch {
             if *run == batch.run {
                 self.metrics.batch_replays.fetch_add(1, Ordering::Relaxed);
-                return Response::json(to_json(cached));
+                return Response::new(200, BATCH_CONTENT_TYPE, cached.clone());
             }
         }
         let result = state.backend.submit_batch(&batch);
         match result {
             Ok(result) => {
                 self.metrics.batches_executed.fetch_add(1, Ordering::Relaxed);
-                let v = wire::result_to_value(&result);
-                let body = to_json(&v);
-                state.last_batch = Some((batch.run, v));
-                Response::json(body)
+                let body = wire::encode_result(&result);
+                state.last_batch = Some((batch.run, body.clone()));
+                Response::new(200, BATCH_CONTENT_TYPE, body)
             }
             Err(e) => lab_error(e),
         }
@@ -708,6 +713,13 @@ mod tests {
         from_json(std::str::from_utf8(&resp.body).unwrap()).unwrap()
     }
 
+    fn batch_result(resp: &Response) -> sdl_core::BatchResult {
+        match wire::decode_result(&resp.body).unwrap() {
+            wire::BatchReply::Done(result) => result,
+            wire::BatchReply::OutOfPlates => panic!("unexpected out-of-plates reply"),
+        }
+    }
+
     #[test]
     fn full_session_lifecycle() {
         let host = LabHost::new();
@@ -724,9 +736,9 @@ mod tests {
             r#"{"run": 1, "ratios": [[0.5, 0.25, 0.0, 0.1], [0.0, 0.0, 0.0, 1.0]]}"#,
         );
         assert_eq!(batch.status, 200, "{}", String::from_utf8_lossy(&batch.body));
-        let result = json(&batch);
-        assert_eq!(result.get("measurements").unwrap().as_seq().unwrap().len(), 2);
-        assert!(result.opt_i64("elapsed_us").unwrap() > 0);
+        let result = batch_result(&batch);
+        assert_eq!(result.measurements.len(), 2);
+        assert!(result.elapsed.as_micros() > 0);
 
         let closed = post(&host, &format!("/v1/close?session={session}"), r#"{"samples": 2}"#);
         assert_eq!(closed.status, 200);
@@ -749,8 +761,8 @@ mod tests {
         let second = post(&host, &format!("/v1/batch?session={session}"), body);
         assert_eq!(second.status, 200);
         assert_eq!(first.body, second.body, "duplicate run must replay, not re-execute");
-        let e1 = json(&first).opt_i64("elapsed_us").unwrap();
-        let e2 = json(&second).opt_i64("elapsed_us").unwrap();
+        let e1 = batch_result(&first).elapsed;
+        let e2 = batch_result(&second).elapsed;
         assert_eq!(e1, e2);
         // The next run executes normally and advances the clock.
         let third = post(
@@ -759,7 +771,7 @@ mod tests {
             r#"{"run": 2, "ratios": [[0.1, 0.2, 0.3, 0.4], [0.2, 0.2, 0.2, 0.2]]}"#,
         );
         assert_eq!(third.status, 200);
-        assert!(json(&third).opt_i64("elapsed_us").unwrap() > e1);
+        assert!(batch_result(&third).elapsed > e1);
     }
 
     #[test]

@@ -10,8 +10,10 @@ const BUCKETS: [f64; 12] =
     [0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.5, 1.0];
 
 /// Routes tracked individually (everything else lands in `other`).
-const ROUTES: [&str; 9] =
-    ["/", "/healthz", "/records", "/events", "/summary", "/runs", "/blobs", "/metrics", "other"];
+const ROUTES: [&str; 10] = [
+    "/", "/healthz", "/records", "/events", "/summary", "/runs", "/blobs", "/metrics", "/v1",
+    "other",
+];
 
 /// Lock-free request metrics shared by all worker threads.
 #[derive(Debug, Default)]
@@ -195,6 +197,7 @@ mod tests {
         assert_eq!(route_label("/events/stream"), "/events");
         assert_eq!(route_label("/runs/3"), "/runs");
         assert_eq!(route_label("/blobs/blob:abc"), "/blobs");
+        assert_eq!(route_label("/v1/batch"), "/v1");
         assert_eq!(route_label("/nope"), "other");
         assert_eq!(route_label("/recordsnot"), "other");
     }

@@ -3,8 +3,8 @@
 //! server hosting the batch-execution API) and `ReplayBackend` must agree.
 
 use sdl_lab::core::{
-    AppConfig, BackendSpec, CampaignRunner, Experiment, RemoteBackend, ReplayBackend, ScenarioSpec,
-    SimBackend, TerminationReason,
+    AppConfig, AppError, BackendSpec, CampaignRunner, Experiment, LabBackend, RemoteBackend,
+    ReplayBackend, ScenarioSpec, SimBackend, TerminationReason,
 };
 use sdl_lab::datapub::{AcdcPortal, BlobStore};
 use sdl_lab::portal_server::{spawn, LabHost, PortalServer, ServerConfig};
@@ -91,28 +91,83 @@ fn remote_run_ships_plate_images_when_asked() {
 }
 
 #[test]
-fn out_of_plates_at_open_terminates_identically_on_sim_and_remote() {
-    // A crane with empty towers: the very first plate fetch aborts. Both
-    // executors must report the OutOfPlates termination criterion (not an
-    // error), with identical accounting.
-    let mut cfg = config(SolverKind::Random, 4, 2, 51);
-    cfg.workcell_yaml = sdl_lab::wei::RPL_WORKCELL_YAML.replace("[10, 10, 10, 10]", "[0]");
-
-    let mut sim_session = Experiment::new(cfg.clone()).unwrap();
-    let mut sim_lab = SimBackend::new(&cfg).unwrap();
-    let sim = sim_session.run_on(&mut sim_lab).unwrap();
-    assert_eq!(sim.termination, TerminationReason::OutOfPlates);
-    assert_eq!(sim.samples_measured, 0);
-
+fn out_of_plates_terminates_identically_on_sim_and_remote() {
+    // The crane runs dry: both executors must report the OutOfPlates
+    // termination criterion (not an error), with identical accounting.
+    // Columns: crane towers, publish_images, budget, batch, samples measured.
+    let cases = [
+        // Empty towers: the very first plate fetch, at open, aborts.
+        ("[0]", false, 4, 2, 0),
+        // One plate: two framed batches fill it, then the third batch's
+        // plate fetch aborts and the worker answers with a frameless head.
+        ("[1]", true, 100, 48, 96),
+    ];
     let handle = worker_server();
-    let mut remote_session = Experiment::new(cfg.clone()).unwrap();
-    let mut remote_lab = RemoteBackend::new(handle.addr().to_string(), cfg);
-    let remote = remote_session.run_on(&mut remote_lab).unwrap();
-    assert_eq!(remote.termination, TerminationReason::OutOfPlates);
-    assert_eq!(remote.samples_measured, 0);
-    assert_eq!(sim.duration, remote.duration);
-    assert_eq!(sim.counters, remote.counters);
+    for (towers, publish_images, samples, batch, measured) in cases {
+        let mut cfg = config(SolverKind::Random, samples, batch, 51);
+        cfg.publish_images = publish_images;
+        cfg.workcell_yaml = sdl_lab::wei::RPL_WORKCELL_YAML.replace("[10, 10, 10, 10]", towers);
+
+        let mut sim_session = Experiment::new(cfg.clone()).unwrap();
+        let mut sim_lab = SimBackend::new(&cfg).unwrap();
+        let sim = sim_session.run_on(&mut sim_lab).unwrap();
+        assert_eq!(sim.termination, TerminationReason::OutOfPlates, "towers {towers}");
+        assert_eq!(sim.samples_measured, measured, "towers {towers}");
+
+        let mut remote_session = Experiment::new(cfg.clone()).unwrap();
+        let mut remote_lab = RemoteBackend::new(handle.addr().to_string(), cfg);
+        let remote = remote_session.run_on(&mut remote_lab).unwrap();
+        assert_eq!(remote.termination, TerminationReason::OutOfPlates, "towers {towers}");
+        assert_eq!(remote.samples_measured, measured, "towers {towers}");
+        assert_eq!(sim.duration, remote.duration, "towers {towers}");
+        assert_eq!(sim.counters, remote.counters, "towers {towers}");
+    }
     handle.shutdown();
+}
+
+/// A fake worker that answers the first request with `reply` (a status
+/// line and headers), then hangs up.
+fn fake_worker(reply: String) -> (String, std::thread::JoinHandle<()>) {
+    use std::io::{BufRead, BufReader, Read, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let worker = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut length = 0;
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            match line.trim_end().split_once(':') {
+                Some((name, value)) if name.eq_ignore_ascii_case("content-length") => {
+                    length = value.trim().parse().unwrap();
+                }
+                _ if line.trim_end().is_empty() => break,
+                _ => {}
+            }
+        }
+        reader.read_exact(&mut vec![0u8; length]).unwrap();
+        (&stream).write_all(reply.as_bytes()).unwrap();
+    });
+    (addr, worker)
+}
+
+#[test]
+fn oversized_response_length_is_refused_before_allocating() {
+    // Allocating a u64::MAX body overflows capacity and panics, and a large
+    // finite one can exhaust memory: a worker announcing either must be
+    // refused with a backend error before anything is allocated.
+    for length in ["18446744073709551615", "67108865"] {
+        let reply = format!("HTTP/1.1 200 OK\r\nContent-Length: {length}\r\n\r\n");
+        let (addr, worker) = fake_worker(reply);
+        let mut lab = RemoteBackend::new(addr, config(SolverKind::Random, 4, 2, 61));
+        let err = lab.open().unwrap_err();
+        assert!(
+            matches!(&err, AppError::Backend(msg) if msg.contains("exceeds")),
+            "Content-Length {length}: {err}"
+        );
+        worker.join().unwrap();
+    }
 }
 
 #[test]
