@@ -48,7 +48,7 @@ fn bench_dispatch(c: &mut Criterion) {
 
 fn sample_record(i: u32) -> FlowJob {
     FlowJob {
-        record: SampleRecord {
+        records: vec![SampleRecord {
             experiment_id: "bench".into(),
             run: 1,
             sample: i,
@@ -63,7 +63,7 @@ fn sample_record(i: u32) -> FlowJob {
             batch_wall_s: None,
             image_ref: None,
         }
-        .to_value(),
+        .to_value()],
         image: None,
     }
 }

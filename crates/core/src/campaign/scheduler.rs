@@ -804,9 +804,10 @@ fn drive_worker(
                         s.retry_busy += busy;
                         s.quarantined += 1;
                     }
-                    let outcome: Result<ScenarioOutcome, AppError> = Err(AppError::Backend(
-                        format!("quarantined after {failed_attempts} throttled attempts (last: {e})"),
-                    ));
+                    let outcome: Result<ScenarioOutcome, AppError> =
+                        Err(AppError::Backend(format!(
+                            "quarantined after {failed_attempts} throttled attempts (last: {e})"
+                        )));
                     if let Some(log) = events {
                         log.append(&finish_event(index, &spec, attempt, url, &outcome));
                     }

@@ -453,8 +453,8 @@ mod tests {
 
     #[test]
     fn clock_rates_track_the_spec() {
-        let p = ChaosPolicy::parse("seed=3,kill=0.2,error=0.1,shed=0.15,stall=0.3,stall_ms=5")
-            .unwrap();
+        let p =
+            ChaosPolicy::parse("seed=3,kill=0.2,error=0.1,shed=0.15,stall=0.3,stall_ms=5").unwrap();
         let clock = ChaosClock::new(p);
         let mut counts = [0usize; 5];
         for _ in 0..10_000 {

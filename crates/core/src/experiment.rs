@@ -30,7 +30,6 @@ use crate::backend::{BackendCaps, BackendClose, Batch, BatchResult, LabBackend};
 use crate::campaign::{CampaignEvent, EventScope};
 use crate::config::AppConfig;
 use crate::termination::TerminationReason;
-use bytes::Bytes;
 use rand::rngs::StdRng;
 use sdl_color::Rgb8;
 use sdl_datapub::{
@@ -177,7 +176,7 @@ impl Experiment {
         self.announced = true;
         if let Some(flow) = &self.flow {
             flow.publish(FlowJob {
-                record: ExperimentRecord {
+                records: vec![ExperimentRecord {
                     experiment_id: self.config.experiment_id(),
                     name: self.config.experiment_name.clone(),
                     date: self.config.date.clone(),
@@ -186,7 +185,7 @@ impl Experiment {
                     batch: self.config.batch,
                     sample_budget: self.config.sample_budget,
                 }
-                .to_value(),
+                .to_value()],
                 image: None,
             });
         }
@@ -234,7 +233,8 @@ impl Experiment {
     }
 
     /// Feed one executed batch back: grade each measurement, extend the
-    /// history and trajectory, publish sample records, and evaluate the
+    /// history and trajectory, publish the batch's sample records (one
+    /// flow job carrying the batch's frame), and evaluate the
     /// match-threshold termination criterion.
     pub fn tell(&mut self, batch: &Batch, result: BatchResult) -> Result<(), AppError> {
         if result.measurements.len() != batch.ratios.len() {
@@ -254,7 +254,7 @@ impl Experiment {
                 batch_wall_us: result.batch_wall.as_micros(),
             });
         }
-        let image_bytes: Option<Bytes> = result.image;
+        let mut records = Vec::with_capacity(batch.ratios.len());
         for (i, (ratio, m)) in batch.ratios.iter().zip(&result.measurements).enumerate() {
             let measured = m.color;
             let target_now = self.config.target_at(self.samples_done);
@@ -284,7 +284,7 @@ impl Experiment {
                     batch_wall_us: result.batch_wall.as_micros(),
                 });
             }
-            if let Some(flow) = &self.flow {
+            if self.flow.is_some() {
                 let volumes = sdl_color::Recipe::from_ratios(ratio, &self.config.dyes)
                     .map(|r| r.volumes_ul().to_vec())
                     .unwrap_or_default();
@@ -312,8 +312,11 @@ impl Experiment {
                         record.set("timing", timing.clone());
                     }
                 }
-                flow.publish(FlowJob { record, image: image_bytes.clone() });
+                records.push(record);
             }
+        }
+        if let Some(flow) = &self.flow {
+            flow.publish(FlowJob { records, image: result.image });
         }
 
         // Check: target matched?

@@ -5,7 +5,9 @@
 //! record and updates the search index. [`PublishFlow`] reproduces that: a
 //! background worker (crossbeam channel + thread) runs the three flow steps
 //! — Transfer (blob store), Ingest (JSON validation), Index (portal) — per
-//! job, with delivery guaranteed by `flush`/`close`.
+//! job, with delivery guaranteed by `flush`/`close`. A job is one batch:
+//! its plate frame is transferred (and hashed) once, and every record of
+//! the batch carries the same `image_ref`.
 
 use crate::portal::AcdcPortal;
 use crate::store::{BlobRef, BlobStore};
@@ -16,24 +18,24 @@ use sdl_conf::{from_json, to_json, Value};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// One publication job.
+/// One publication job: a batch's records and the batch's plate frame.
 #[derive(Debug)]
 pub struct FlowJob {
-    /// The record to ingest.
-    pub record: Value,
-    /// Optional image payload; its blob reference is patched into the
-    /// record's `image_ref` field after transfer.
+    /// The records to ingest, in order.
+    pub records: Vec<Value>,
+    /// Optional image payload, transferred once per job; its blob
+    /// reference is patched into every record's `image_ref` field.
     pub image: Option<Bytes>,
 }
 
 /// Pipeline statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlowStats {
-    /// Jobs published end-to-end.
+    /// Records published end-to-end.
     pub published: u64,
-    /// Jobs that failed validation.
+    /// Records that failed validation.
     pub failed: u64,
-    /// Blobs transferred.
+    /// Blobs transferred: one per job that carried an image.
     pub blobs: u64,
 }
 
@@ -67,17 +69,8 @@ impl PublishFlow {
                 while let Ok(msg) = rx.recv() {
                     match msg {
                         Msg::Job(job) => {
-                            let outcome = run_flow(*job, &worker_portal, &worker_store);
-                            let mut s = worker_stats.lock();
-                            match outcome {
-                                Ok(with_blob) => {
-                                    s.published += 1;
-                                    if with_blob {
-                                        s.blobs += 1;
-                                    }
-                                }
-                                Err(_) => s.failed += 1,
-                            }
+                            let mut stats = worker_stats.lock();
+                            let _ = run_flow(*job, &worker_portal, &worker_store, &mut stats);
                         }
                         Msg::Flush(done) => {
                             let _ = done.send(());
@@ -127,32 +120,46 @@ impl Drop for PublishFlow {
     }
 }
 
-/// The three flow steps. Returns whether a blob was transferred.
-fn run_flow(job: FlowJob, portal: &AcdcPortal, store: &BlobStore) -> Result<bool, String> {
-    let mut record = job.record;
+/// The three flow steps for one job, counted into `stats`. Every record
+/// is attempted; the first validation failure is returned.
+fn run_flow(
+    job: FlowJob,
+    portal: &AcdcPortal,
+    store: &BlobStore,
+    stats: &mut FlowStats,
+) -> Result<(), String> {
+    // Step 1: Transfer — move the image into durable storage, once.
+    let image_ref: Option<BlobRef> = job.image.map(|image| {
+        stats.blobs += 1;
+        store.put(image)
+    });
 
-    // Step 1: Transfer — move the image into durable storage.
-    let mut with_blob = false;
-    if let Some(image) = job.image {
-        let r: BlobRef = store.put(image);
-        record.set("image_ref", r.0.as_str());
-        with_blob = true;
+    let mut first_error = None;
+    for mut record in job.records {
+        if let Some(r) = &image_ref {
+            record.set("image_ref", r.0.as_str());
+        }
+        // Step 2: Ingest — records must survive a serialization roundtrip
+        // (the wire format of the real flow).
+        match from_json(&to_json(&record)) {
+            // Step 3: Index.
+            Ok(validated) => {
+                portal.ingest(validated);
+                stats.published += 1;
+            }
+            Err(e) => {
+                stats.failed += 1;
+                first_error.get_or_insert(e.to_string());
+            }
+        }
     }
-
-    // Step 2: Ingest — records must survive a serialization roundtrip
-    // (the wire format of the real flow).
-    let wire = to_json(&record);
-    let validated = from_json(&wire).map_err(|e| e.to_string())?;
-
-    // Step 3: Index.
-    portal.ingest(validated);
-    Ok(with_blob)
+    first_error.map_or(Ok(()), Err)
 }
 
 /// Synchronous single-job publication (used by tests and by deterministic
 /// runs that disable the background worker).
 pub fn publish_sync(job: FlowJob, portal: &AcdcPortal, store: &BlobStore) -> Result<(), String> {
-    run_flow(job, portal, store).map(|_| ())
+    run_flow(job, portal, store, &mut FlowStats::default())
 }
 
 #[cfg(test)]
@@ -175,7 +182,7 @@ mod tests {
         let flow = PublishFlow::start(Arc::clone(&portal), Arc::clone(&store));
         for i in 0..50 {
             flow.publish(FlowJob {
-                record: record(i),
+                records: vec![record(i)],
                 image: if i % 5 == 0 { Some(Bytes::from(vec![i as u8; 64])) } else { None },
             });
         }
@@ -193,7 +200,7 @@ mod tests {
         let portal = Arc::new(AcdcPortal::new());
         let store = Arc::new(BlobStore::in_memory());
         publish_sync(
-            FlowJob { record: record(1), image: Some(Bytes::from_static(b"img")) },
+            FlowJob { records: vec![record(1)], image: Some(Bytes::from_static(b"img")) },
             &portal,
             &store,
         )
@@ -206,12 +213,31 @@ mod tests {
     }
 
     #[test]
+    fn one_batch_job_transfers_its_frame_once() {
+        let portal = Arc::new(AcdcPortal::new());
+        let store = Arc::new(BlobStore::in_memory());
+        let flow = PublishFlow::start(Arc::clone(&portal), Arc::clone(&store));
+        flow.publish(FlowJob {
+            records: vec![record(1), record(2), record(3)],
+            image: Some(Bytes::from_static(b"one frame for three samples")),
+        });
+        let stats = flow.close();
+        assert_eq!(store.len(), 1);
+        assert_eq!((stats.blobs, stats.published, stats.failed), (1, 3, 0));
+        let recs = portal.find("kind", "sample");
+        let samples: Vec<i64> = recs.iter().map(|r| r.opt_i64("sample").unwrap()).collect();
+        assert_eq!(samples, [1, 2, 3], "records are indexed in job order");
+        let refs: Vec<&str> = recs.iter().map(|r| r.opt_str("image_ref").unwrap()).collect();
+        assert_eq!(refs, [store.refs()[0].0.as_str(); 3]);
+    }
+
+    #[test]
     fn flush_is_a_barrier() {
         let portal = Arc::new(AcdcPortal::new());
         let store = Arc::new(BlobStore::in_memory());
         let flow = PublishFlow::start(Arc::clone(&portal), Arc::clone(&store));
         for i in 0..200 {
-            flow.publish(FlowJob { record: record(i), image: None });
+            flow.publish(FlowJob { records: vec![record(i)], image: None });
         }
         flow.flush();
         // After flush every record is visible, no sleep needed.
@@ -225,7 +251,7 @@ mod tests {
         let store = Arc::new(BlobStore::in_memory());
         {
             let flow = PublishFlow::start(Arc::clone(&portal), Arc::clone(&store));
-            flow.publish(FlowJob { record: record(7), image: None });
+            flow.publish(FlowJob { records: vec![record(7)], image: None });
             flow.flush();
         } // drop here must not hang
         assert_eq!(portal.len(), 1);

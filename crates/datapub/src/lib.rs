@@ -5,8 +5,8 @@
 //! halves:
 //!
 //! * [`PublishFlow`] — an asynchronous three-step pipeline (Transfer →
-//!   Ingest → Index) on a background worker, with `flush` as a delivery
-//!   barrier;
+//!   Ingest → Index) on a background worker, one job per batch, with
+//!   `flush` as a delivery barrier;
 //! * [`AcdcPortal`] — a searchable record index rendering the Figure-3
 //!   summary and run-detail views, with JSON-lines import/export;
 //! * [`BlobStore`] — content-addressed storage for raw plate images;

@@ -35,13 +35,23 @@ fn fnv64(bytes: &[u8]) -> u64 {
     h ^ (bytes.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
+/// One in-memory blob.
+#[derive(Debug)]
+struct Entry {
+    data: Bytes,
+    /// LRU stamp from the store's shared clock; the smallest stamp is the
+    /// least recently touched blob.
+    stamp: u64,
+    /// The blob's `.bin` file holds it (written at insert, or the blob was
+    /// read from it), so evicting the in-memory copy loses nothing.
+    durable: bool,
+}
+
 /// Map plus its running byte total, guarded by one lock so the total can
 /// never drift from the map contents.
 #[derive(Debug, Default)]
 struct Inner {
-    /// Blob → (bytes, LRU stamp). Stamps come from a shared clock; the
-    /// smallest stamp is the least recently touched blob.
-    blobs: HashMap<BlobRef, (Bytes, u64)>,
+    blobs: HashMap<BlobRef, Entry>,
     /// Sum of every in-memory blob's length.
     bytes: usize,
 }
@@ -50,7 +60,8 @@ struct Inner {
 /// with a spill directory and [`BlobStore::with_mem_cap`], least recently
 /// used blobs are evicted from memory once the ceiling is crossed (their
 /// spilled `.bin` file remains the durable copy) and transparently
-/// reloaded — hash-verified — on the next `get`.
+/// reloaded — hash-verified — on the next `get`. A blob whose spill write
+/// failed is never evicted.
 #[derive(Debug, Default)]
 pub struct BlobStore {
     inner: Mutex<Inner>,
@@ -110,7 +121,7 @@ impl BlobStore {
             if r.0.replace(':', "_") + ".bin" == name {
                 let stamp = store.tick();
                 inner.bytes += data.len();
-                inner.blobs.insert(r, (data, stamp));
+                inner.blobs.insert(r, Entry { data, stamp, durable: true });
             }
         }
         drop(inner);
@@ -121,54 +132,68 @@ impl BlobStore {
         self.clock.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Evict least-recently-used blobs until memory fits the cap. Only
-    /// meaningful with a spill directory: every in-memory blob of such a
-    /// store already has its durable `.bin` copy, so eviction is lossless.
+    /// Evict least-recently-used durable blobs until memory fits the cap.
+    /// Only meaningful with a spill directory, whose `.bin` files are the
+    /// durable copies. A blob whose spill write failed exists nowhere else,
+    /// so it stays in memory even when that leaves memory above the cap.
     fn enforce(&self, inner: &mut Inner) {
         if self.mem_cap == 0 || self.spill_dir.is_none() {
             return;
         }
-        while inner.bytes > self.mem_cap && !inner.blobs.is_empty() {
-            let victim = inner
+        while inner.bytes > self.mem_cap {
+            let Some(victim) = inner
                 .blobs
                 .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
+                .filter(|(_, e)| e.durable)
+                .min_by_key(|(_, e)| e.stamp)
                 .map(|(r, _)| r.clone())
-                .expect("non-empty map has a minimum");
-            if let Some((data, _)) = inner.blobs.remove(&victim) {
-                inner.bytes -= data.len();
+            else {
+                break;
+            };
+            if let Some(e) = inner.blobs.remove(&victim) {
+                inner.bytes -= e.data.len();
                 self.evictions.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
         }
     }
 
-    fn spill(&self, r: &BlobRef, data: &Bytes) {
+    /// Write a blob's `.bin` file; true when the file now holds the blob.
+    fn spill(&self, r: &BlobRef, data: &Bytes) -> bool {
         use std::sync::atomic::Ordering;
-        let Some(dir) = &self.spill_dir else { return };
+        let Some(dir) = &self.spill_dir else { return false };
         if !self.spill_ready.load(Ordering::Acquire) {
             // First write: make sure the directory exists before anything
             // lands in it. `create_dir_all` is idempotent under races.
-            let _ = std::fs::create_dir_all(dir);
+            if std::fs::create_dir_all(dir).is_err() {
+                return false;
+            }
             self.spill_ready.store(true, Ordering::Release);
         }
         let name = r.0.replace(':', "_");
-        let _ = std::fs::write(dir.join(format!("{name}.bin")), data);
+        std::fs::write(dir.join(format!("{name}.bin")), data).is_ok()
     }
 
     /// Store a blob, returning its reference (idempotent).
     pub fn put(&self, data: Bytes) -> BlobRef {
         let r = BlobRef::from_hash(fnv64(&data));
+        self.insert(r.clone(), data);
+        r
+    }
+
+    /// Store `data` under `r` without hashing it. `r` must be the content
+    /// hash of `data`: every reference in a store was computed by `put` or
+    /// verified against its file by `open_spill_dir` or `get`.
+    fn insert(&self, r: BlobRef, data: Bytes) {
         let mut inner = self.inner.lock();
-        if let Some((_, stamp)) = inner.blobs.get_mut(&r) {
-            *stamp = self.tick();
-            return r;
+        if let Some(e) = inner.blobs.get_mut(&r) {
+            e.stamp = self.tick();
+            return;
         }
-        self.spill(&r, &data);
+        let durable = self.spill(&r, &data);
         inner.bytes += data.len();
         let stamp = self.tick();
-        inner.blobs.insert(r.clone(), (data, stamp));
+        inner.blobs.insert(r, Entry { data, stamp, durable });
         self.enforce(&mut inner);
-        r
     }
 
     /// Fetch a blob. A memory miss in a spill-directory store falls back
@@ -178,9 +203,9 @@ impl BlobStore {
     pub fn get(&self, r: &BlobRef) -> Option<Bytes> {
         {
             let mut inner = self.inner.lock();
-            if let Some((data, stamp)) = inner.blobs.get_mut(r) {
-                *stamp = self.tick();
-                return Some(data.clone());
+            if let Some(e) = inner.blobs.get_mut(r) {
+                e.stamp = self.tick();
+                return Some(e.data.clone());
             }
         }
         let dir = self.spill_dir.as_ref()?;
@@ -194,7 +219,7 @@ impl BlobStore {
         if !inner.blobs.contains_key(r) {
             inner.bytes += data.len();
             let stamp = self.tick();
-            inner.blobs.insert(r.clone(), (data.clone(), stamp));
+            inner.blobs.insert(r.clone(), Entry { data: data.clone(), stamp, durable: true });
             self.enforce(&mut inner);
         }
         Some(data)
@@ -208,14 +233,15 @@ impl BlobStore {
     /// Snapshot of every in-memory (reference, bytes) pair, in
     /// unspecified order.
     pub fn entries(&self) -> Vec<(BlobRef, Bytes)> {
-        self.inner.lock().blobs.iter().map(|(r, (b, _))| (r.clone(), b.clone())).collect()
+        self.inner.lock().blobs.iter().map(|(r, e)| (r.clone(), e.data.clone())).collect()
     }
 
-    /// Copy every blob into `dst` (references are content hashes, so they
-    /// are identical in both stores afterwards).
+    /// Copy every in-memory blob into `dst` under its existing reference
+    /// (a content hash, so `dst` need not hash the bytes again); `dst`
+    /// spills and evicts exactly as if the blobs had been `put`.
     pub fn merge_into(&self, dst: &BlobStore) {
-        for (_, data) in self.entries() {
-            dst.put(data);
+        for (r, data) in self.entries() {
+            dst.insert(r, data);
         }
     }
 
@@ -229,8 +255,9 @@ impl BlobStore {
         self.inner.lock().blobs.is_empty()
     }
 
-    /// Total bytes held in memory (never exceeds the cap for long: `put`
-    /// and `get` evict back down before returning).
+    /// Total bytes held in memory. `put` and `get` evict back down to the
+    /// cap before returning, unless only blobs without a durable spill file
+    /// are left to evict.
     pub fn total_bytes(&self) -> usize {
         self.inner.lock().bytes
     }
@@ -364,9 +391,29 @@ mod tests {
     }
 
     #[test]
+    fn mem_cap_never_evicts_a_blob_whose_spill_failed() {
+        // A spill directory under a regular file can never be created, so
+        // no `.bin` is written and the memory copy is the only one.
+        let file = std::env::temp_dir().join(format!("sdl-blob-nodir-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let store = BlobStore::with_spill_dir(file.join("spill")).with_mem_cap(15);
+        let a = store.put(Bytes::from(vec![b'a'; 10]));
+        let b = store.put(Bytes::from(vec![b'b'; 10]));
+        assert_eq!(store.evictions(), 0);
+        assert_eq!(store.total_bytes(), 20, "over the cap rather than lossy");
+        assert_eq!(store.get(&a).unwrap(), Bytes::from(vec![b'a'; 10]));
+        assert_eq!(store.get(&b).unwrap(), Bytes::from(vec![b'b'; 10]));
+        let _ = std::fs::remove_file(&file);
+    }
+
+    #[test]
     fn merge_into_copies_blobs() {
+        let dir = std::env::temp_dir().join(format!("sdl-blob-merge-{}", std::process::id()));
+        let put_dir = dir.with_extension("put");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&put_dir);
         let src = BlobStore::in_memory();
-        let dst = BlobStore::in_memory();
+        let dst = BlobStore::with_spill_dir(&dir);
         let a = src.put(Bytes::from_static(b"one"));
         let b = src.put(Bytes::from_static(b"two"));
         dst.put(Bytes::from_static(b"two")); // overlap dedupes
@@ -378,6 +425,26 @@ mod tests {
         refs.sort_by(|x, y| x.0.cmp(&y.0));
         assert_eq!(refs.len(), 2);
         assert_eq!(dst.entries().len(), 2);
+        // The merged spill files are exactly the ones `put` writes.
+        let put_store = BlobStore::with_spill_dir(&put_dir);
+        put_store.put(Bytes::from_static(b"one"));
+        put_store.put(Bytes::from_static(b"two"));
+        let files = |d: &std::path::Path| {
+            let mut v: Vec<(String, Vec<u8>)> = std::fs::read_dir(d)
+                .unwrap()
+                .map(|e| {
+                    let path = e.unwrap().path();
+                    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                    (name, std::fs::read(&path).unwrap())
+                })
+                .collect();
+            v.sort();
+            v
+        };
+        assert_eq!(files(&dir), files(&put_dir));
+        assert_eq!(files(&dir).len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&put_dir);
     }
 
     #[test]

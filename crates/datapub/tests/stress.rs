@@ -32,7 +32,7 @@ fn parallel_producers_lose_nothing() {
                     } else {
                         None
                     };
-                    flow.publish(FlowJob { record: record(p, i), image });
+                    flow.publish(FlowJob { records: vec![record(p, i)], image });
                 }
             });
         }

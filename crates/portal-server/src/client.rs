@@ -7,6 +7,11 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+/// Largest response body the client allocates for. A `Content-Length` past
+/// it is refused before any allocation (`RemoteBackend` applies the same
+/// limit to `/v1` replies).
+const MAX_RESPONSE: usize = 64 * 1024 * 1024;
+
 /// One response as read off the wire.
 #[derive(Debug, Clone)]
 pub struct HttpResponse {
@@ -101,6 +106,12 @@ impl HttpClient {
             .find(|(k, _)| k == "content-length")
             .and_then(|(_, v)| v.parse().ok())
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "missing content-length"))?;
+        if length > MAX_RESPONSE {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("response of {length} bytes exceeds the {MAX_RESPONSE}-byte limit"),
+            ));
+        }
         let mut body = vec![0u8; length];
         self.reader.read_exact(&mut body)?;
         Ok(HttpResponse { status, headers, body })

@@ -265,8 +265,7 @@ impl Response {
     /// (capacity), always carrying a `Retry-After` hint in whole seconds
     /// so well-behaved clients back off instead of hammering.
     pub fn shed(status: u16, message: &str, retry_after: Duration) -> Response {
-        Response::error(status, message)
-            .with_header("Retry-After", retry_after.as_secs().max(1))
+        Response::error(status, message).with_header("Retry-After", retry_after.as_secs().max(1))
     }
 
     /// A connection hangup: the handler decided to drop the socket without

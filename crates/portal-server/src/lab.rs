@@ -511,7 +511,11 @@ impl LabHost {
     fn create(&self, req: &Request) -> Response {
         if self.is_draining() {
             self.metrics.count_shed(&self.metrics.drain_denials);
-            return Response::shed(503, "draining: not accepting new sessions", Duration::from_secs(2));
+            return Response::shed(
+                503,
+                "draining: not accepting new sessions",
+                Duration::from_secs(2),
+            );
         }
         let doc = match from_json(&req.body_text()) {
             Ok(doc) => doc,
@@ -936,10 +940,7 @@ mod tests {
     #[test]
     fn quota_policy_parses_rate_and_burst() {
         assert_eq!(QuotaPolicy::parse("5").unwrap(), QuotaPolicy { rate: 5.0, burst: 5.0 });
-        assert_eq!(
-            QuotaPolicy::parse("2.5:20").unwrap(),
-            QuotaPolicy { rate: 2.5, burst: 20.0 }
-        );
+        assert_eq!(QuotaPolicy::parse("2.5:20").unwrap(), QuotaPolicy { rate: 2.5, burst: 20.0 });
         assert_eq!(QuotaPolicy::parse("0.5").unwrap().burst, 1.0, "burst floor of one token");
         assert!(QuotaPolicy::parse("0").is_err());
         assert!(QuotaPolicy::parse("-1").is_err());

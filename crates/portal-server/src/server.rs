@@ -390,20 +390,23 @@ impl PortalServer {
         );
         {
             use std::fmt::Write as _;
-            let _ = writeln!(text, "# HELP sdl_portal_queue_depth Connections queued for a pool worker.");
+            let _ = writeln!(
+                text,
+                "# HELP sdl_portal_queue_depth Connections queued for a pool worker."
+            );
             let _ = writeln!(text, "# TYPE sdl_portal_queue_depth gauge");
             let _ = writeln!(
                 text,
                 "sdl_portal_queue_depth {}",
                 self.queue_depth.load(Ordering::Relaxed)
             );
-            let _ = writeln!(text, "# HELP sdl_portal_draining 1 while the server drains for shutdown.");
-            let _ = writeln!(text, "# TYPE sdl_portal_draining gauge");
             let _ = writeln!(
                 text,
-                "sdl_portal_draining {}",
-                if self.is_draining() { 1 } else { 0 }
+                "# HELP sdl_portal_draining 1 while the server drains for shutdown."
             );
+            let _ = writeln!(text, "# TYPE sdl_portal_draining gauge");
+            let _ =
+                writeln!(text, "sdl_portal_draining {}", if self.is_draining() { 1 } else { 0 });
             let _ = writeln!(
                 text,
                 "# HELP sdl_portal_blob_evictions_total Blobs evicted from memory to spill files."
@@ -594,9 +597,7 @@ pub fn spawn(server: PortalServer, config: &ServerConfig) -> std::io::Result<Ser
                 // Retry-After and hangs up — the connection never queues,
                 // so memory and queue depth stay bounded however many
                 // clients pile in.
-                if max_conns > 0
-                    && accept_server.metrics.active_connections() >= max_conns as u64
-                {
+                if max_conns > 0 && accept_server.metrics.active_connections() >= max_conns as u64 {
                     accept_server.metrics.record_conn_shed();
                     let resp =
                         Response::shed(503, "connection limit reached", Duration::from_secs(1));
@@ -642,11 +643,8 @@ fn handle_connection(server: &PortalServer, stream: TcpStream, limits: ConnLimit
     // Idle keep-alive connections are reaped, and once a request's first
     // byte arrives the whole head + body must land within the deadline —
     // a trickling peer cannot park this worker.
-    let mut reader = BufReader::new(DeadlineStream::new(
-        &stream,
-        limits.idle_timeout,
-        limits.request_deadline,
-    ));
+    let mut reader =
+        BufReader::new(DeadlineStream::new(&stream, limits.idle_timeout, limits.request_deadline));
     let mut writer = BufWriter::new(write_half);
     let mut served = 0usize;
 

@@ -55,7 +55,11 @@ fn seeded() -> (Arc<AcdcPortal>, Arc<BlobStore>, String) {
 fn live_server() -> (sdl_portal_server::ServerHandle, String) {
     let (portal, store, blob) = seeded();
     let server = PortalServer::new(portal, store);
-    let handle = spawn(server, &ServerConfig { addr: "127.0.0.1:0".into(), threads: 8, ..ServerConfig::default() }).unwrap();
+    let handle = spawn(
+        server,
+        &ServerConfig { addr: "127.0.0.1:0".into(), threads: 8, ..ServerConfig::default() },
+    )
+    .unwrap();
     (handle, blob)
 }
 
@@ -65,7 +69,11 @@ fn batch_execution_api_over_real_sockets() {
     // the crate's own keep-alive client (request bodies over the wire).
     let server = PortalServer::new(Arc::new(AcdcPortal::new()), Arc::new(BlobStore::in_memory()))
         .with_lab(Arc::new(sdl_portal_server::LabHost::new()));
-    let handle = spawn(server, &ServerConfig { addr: "127.0.0.1:0".into(), threads: 4, ..ServerConfig::default() }).unwrap();
+    let handle = spawn(
+        server,
+        &ServerConfig { addr: "127.0.0.1:0".into(), threads: 4, ..ServerConfig::default() },
+    )
+    .unwrap();
     let addr = handle.addr();
 
     let mut c = HttpClient::connect(addr).unwrap();
@@ -268,4 +276,29 @@ fn shutdown_is_clean_and_idempotent_under_drop() {
     assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
     drop(handle); // Drop path must also join cleanly.
     assert!(client::get(addr, "/healthz").is_err(), "server still answering after drop");
+}
+
+#[test]
+fn client_refuses_an_oversized_content_length_before_allocating() {
+    use std::io::{BufRead, BufReader, Write};
+    // A fake server that answers one request with the given length and no
+    // body; a client that trusted it would try to allocate it.
+    for length in [u64::MAX, 64 * 1024 * 1024 + 1] {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let fake = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap() > 0 && line != "\r\n" {
+                line.clear();
+            }
+            let mut stream = stream;
+            write!(stream, "HTTP/1.1 200 OK\r\nContent-Length: {length}\r\n\r\n").unwrap();
+        });
+        let err = client::get(addr, "/records").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{length}: {err}");
+        assert!(err.to_string().contains("limit"), "{err}");
+        fake.join().unwrap();
+    }
 }

@@ -190,11 +190,14 @@ impl ImageRgb8 {
         out.extend_from_slice(&1u16.to_le_bytes()); // planes
         out.extend_from_slice(&24u16.to_le_bytes()); // bpp
         out.extend_from_slice(&[0; 24]); // no compression, default fields
-                                         // Pixel rows, bottom-up, BGR order.
-        for y in (0..h).rev() {
-            for x in 0..w {
-                let p = self.pixel(x, y);
-                out.extend_from_slice(&[p.b, p.g, p.r]);
+
+        // Pixel rows, bottom-up, BGR order: copy each row, then swap R and
+        // B in place.
+        for row in self.data.chunks_exact(row_bytes).rev() {
+            let start = out.len();
+            out.extend_from_slice(row);
+            for px in out[start..].chunks_exact_mut(3) {
+                px.swap(0, 2);
             }
             out.extend(std::iter::repeat_n(0u8, pad));
         }
@@ -311,6 +314,33 @@ mod tests {
         assert_eq!(bmp.len(), 54 + 16 * 3);
         // First pixel datum is the bottom-left pixel in BGR.
         assert_eq!(&bmp[54..57], &[30, 20, 10]);
+    }
+
+    /// Reference encoder: one `pixel` read and one 3-byte write per pixel.
+    /// `to_bmp` must match it byte for byte.
+    fn per_pixel_bmp(img: &ImageRgb8) -> Vec<u8> {
+        let (w, h) = (img.width(), img.height());
+        let pad = (4 - w * 3 % 4) % 4;
+        let mut out = img.to_bmp()[..54].to_vec();
+        for y in (0..h).rev() {
+            for x in 0..w {
+                let p = img.pixel(x, y);
+                out.extend_from_slice(&[p.b, p.g, p.r]);
+            }
+            out.extend(std::iter::repeat_n(0u8, pad));
+        }
+        out
+    }
+
+    #[test]
+    fn bmp_rows_match_the_per_pixel_encoder() {
+        for (w, h) in [(1, 1), (5, 3), (7, 2), (320, 240), (640, 480)] {
+            let mut img = ImageRgb8::new(w, h, Rgb8::default());
+            for (i, b) in img.bytes_mut().iter_mut().enumerate() {
+                *b = (i * 7 % 251) as u8;
+            }
+            assert_eq!(img.to_bmp(), per_pixel_bmp(&img), "{w}x{h}");
+        }
     }
 
     #[test]

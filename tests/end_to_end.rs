@@ -88,8 +88,10 @@ fn images_are_archived_when_enabled() {
     let mut config = quick(4, 2);
     config.publish_images = true;
     let out = run_one(config).expect("run succeeds");
-    // 2 iterations -> 2 distinct frames in the blob store.
+    // 2 iterations -> 2 distinct frames in the blob store, each
+    // transferred once.
     assert_eq!(out.store.len(), 2);
+    assert_eq!(out.flow_stats.blobs, 2);
     let samples = out.portal.samples(&out.experiment_id);
     assert!(samples.iter().all(|s| s.image_ref.is_some()));
     // Samples of the same iteration share a frame.

@@ -35,10 +35,8 @@ const BATCH: &str = r#"{"run": 1, "ratios": [[0.5, 0.25, 0.0, 0.1], [0.0, 0.0, 0
 fn quota_sheds_429_with_retry_after_over_real_sockets() {
     // Burst of one token on a slow refill: the second session open must be
     // shed immediately (not queued) with a Retry-After hint.
-    let handle = lab_server(
-        LabHost::new().with_quota(QuotaPolicy { rate: 0.5, burst: 1.0 }),
-        ephemeral(),
-    );
+    let handle =
+        lab_server(LabHost::new().with_quota(QuotaPolicy { rate: 0.5, burst: 1.0 }), ephemeral());
     let addr = handle.addr();
 
     let mut c = HttpClient::connect(addr).unwrap();
@@ -48,7 +46,8 @@ fn quota_sheds_429_with_retry_after_over_real_sockets() {
     let started = Instant::now();
     let second = c.post("/v1/experiments", CREATE).unwrap();
     assert_eq!(second.status, 429, "{}", second.text());
-    let hint: u64 = second.header("retry-after").expect("shed carries Retry-After").parse().unwrap();
+    let hint: u64 =
+        second.header("retry-after").expect("shed carries Retry-After").parse().unwrap();
     assert!(hint >= 1);
     assert!(started.elapsed() < Duration::from_secs(2), "sheds answer immediately, never queue");
 
@@ -61,10 +60,8 @@ fn quota_sheds_429_with_retry_after_over_real_sockets() {
 
 #[test]
 fn connection_cap_sheds_503_and_recovers_when_load_subsides() {
-    let handle = lab_server(
-        LabHost::new(),
-        ServerConfig { max_conns: 1, threads: 2, ..ephemeral() },
-    );
+    let handle =
+        lab_server(LabHost::new(), ServerConfig { max_conns: 1, threads: 2, ..ephemeral() });
     let addr = handle.addr();
 
     // Occupy the single slot with a keep-alive connection (the completed
@@ -113,10 +110,8 @@ fn keep_alive_connections_are_finite() {
     // max_requests_per_conn=2: the second response says Connection: close
     // and the socket actually closes, so one client can't pin a worker
     // thread forever.
-    let handle = lab_server(
-        LabHost::new(),
-        ServerConfig { max_requests_per_conn: 2, ..ephemeral() },
-    );
+    let handle =
+        lab_server(LabHost::new(), ServerConfig { max_requests_per_conn: 2, ..ephemeral() });
     let mut c = HttpClient::connect(handle.addr()).unwrap();
     let first = c.get("/healthz").unwrap();
     assert_eq!(first.status, 200);
@@ -175,8 +170,7 @@ fn blob_memory_stays_bounded_and_serves_evicted_blobs_from_spill() {
     assert!(store.total_bytes() <= 64, "cap violated: {} bytes resident", store.total_bytes());
     assert!(store.evictions() > 0, "cap never evicted");
 
-    let server =
-        PortalServer::new(Arc::new(AcdcPortal::new()), Arc::clone(&store));
+    let server = PortalServer::new(Arc::new(AcdcPortal::new()), Arc::clone(&store));
     let handle = spawn(server, &ephemeral()).unwrap();
     // Every blob — including evicted ones — serves back byte-identical,
     // and serving them never breaks the ceiling.
@@ -235,9 +229,8 @@ fn scheduler_fingerprint_is_bit_identical_under_shedding() {
     let golden = CampaignRunner::new().threads(2).run(scenarios());
     let chaos = ChaosPolicy::parse("seed=9,shed=0.3").unwrap();
     for pool in [1usize, 2, 4] {
-        let handles: Vec<ServerHandle> = (0..pool)
-            .map(|_| lab_server(LabHost::new().with_chaos(chaos.clone()), ephemeral()))
-            .collect();
+        let handles: Vec<ServerHandle> =
+            (0..pool).map(|_| lab_server(LabHost::new().with_chaos(chaos), ephemeral())).collect();
         let urls: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
         let (report, sched) =
             CampaignScheduler::new(urls).shard_size(1).retry(shed_retry()).run(scenarios());
