@@ -21,7 +21,7 @@ use crate::termination::TerminationReason;
 use sdl_datapub::{AcdcPortal, BlobStore, FlowStats, SampleRecord};
 use sdl_desim::SimDuration;
 use sdl_solvers::{ColorSolver, Observation};
-use sdl_vision::{DetectorScratch, VisionError};
+use sdl_vision::VisionError;
 use sdl_wei::{Counters, Engine, WeiError};
 use std::fmt;
 use std::sync::Arc;
@@ -236,19 +236,5 @@ impl ColorPickerApp {
     /// Execute the full experiment.
     pub fn run(&mut self) -> Result<ExperimentOutcome, AppError> {
         self.session.run_on(&mut self.backend)
-    }
-
-    /// Execute the full experiment over caller-owned detector scratch
-    /// buffers, so campaign workers reuse one arena across scenarios
-    /// instead of reallocating the vision working set per run.
-    pub fn run_with(
-        &mut self,
-        scratch: &mut DetectorScratch,
-    ) -> Result<ExperimentOutcome, AppError> {
-        use crate::backend::LabBackend as _;
-        self.backend.swap_scratch(scratch);
-        let result = self.session.run_on(&mut self.backend);
-        self.backend.swap_scratch(scratch);
-        result
     }
 }

@@ -697,8 +697,9 @@ impl EventRecord {
     }
 }
 
-/// FNV-1a 64-bit, the log's line checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit, the log's line checksum (chaos also folds worker URLs
+/// into stream keys with it).
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

@@ -30,6 +30,7 @@ mod scheduler;
 mod spec;
 mod stress;
 
+pub(crate) use events::fnv1a64;
 pub use events::{
     CampaignEvent, EventLog, EventRecord, EventScope, MultiTelemetry, RecoveryReport,
     ScenarioSummary, SingleTelemetry,

@@ -1,9 +1,9 @@
 //! Streaming campaign results into the data portal.
 //!
-//! Both campaign executors — the thread-pool [`CampaignRunner`] and the
-//! distributed [`CampaignScheduler`] — publish through these helpers, so a
-//! campaign's portal stream has one shape regardless of where the scenarios
-//! executed.
+//! Every campaign executor — the thread-pool [`CampaignRunner`], its
+//! resume, and the distributed [`CampaignScheduler`] — publishes through
+//! one [`InOrderMerge`], so a campaign's portal stream has one shape
+//! regardless of where, or in which order, the scenarios executed.
 //!
 //! [`CampaignRunner`]: crate::CampaignRunner
 //! [`CampaignScheduler`]: crate::CampaignScheduler
@@ -12,11 +12,89 @@ use crate::campaign::report::{ScenarioOutcome, ScenarioResult};
 use crate::campaign::spec::RunMode;
 use sdl_conf::Value;
 use sdl_datapub::{AcdcPortal, BlobStore};
+use std::time::{Duration, Instant};
+
+/// Takes scenario results in any order and publishes them in input order:
+/// each result that completes a prefix streams into the portal together
+/// with every result queued behind it, so the portal stream is the same at
+/// any thread count, worker count or completion order.
+pub(crate) struct InOrderMerge<'a> {
+    portal: &'a AcdcPortal,
+    store: &'a BlobStore,
+    publish_records: bool,
+    progress: bool,
+    slots: Vec<Option<ScenarioResult>>,
+    /// Results taken so far.
+    done: usize,
+    /// First input index not yet published.
+    next: usize,
+    /// Wall time spent publishing.
+    spent: Duration,
+}
+
+impl<'a> InOrderMerge<'a> {
+    /// A merge of `n` scenarios into `portal` and `store`. With
+    /// `publish_records`, each scenario's full record set merges in too;
+    /// with `progress`, every result prints one line to stderr.
+    pub(crate) fn new(
+        n: usize,
+        portal: &'a AcdcPortal,
+        store: &'a BlobStore,
+        publish_records: bool,
+        progress: bool,
+    ) -> InOrderMerge<'a> {
+        InOrderMerge {
+            portal,
+            store,
+            publish_records,
+            progress,
+            slots: (0..n).map(|_| None).collect(),
+            done: 0,
+            next: 0,
+            spent: Duration::ZERO,
+        }
+    }
+
+    /// Take one result, then publish the input-order prefix it completes.
+    pub(crate) fn push(&mut self, result: ScenarioResult) {
+        self.done += 1;
+        if self.progress {
+            eprintln!(
+                "[{}/{}] {} {}",
+                self.done,
+                self.slots.len(),
+                result.spec.label,
+                match &result.outcome {
+                    Ok(o) => format!("best {:.2} in {}", o.best_score(), o.duration()),
+                    Err(e) => format!("FAILED: {e}"),
+                }
+            );
+        }
+        let index = result.index;
+        self.slots[index] = Some(result);
+        let started = Instant::now();
+        while let Some(Some(result)) = self.slots.get(self.next) {
+            publish_scenario(self.portal, self.store, self.publish_records, result);
+            self.next += 1;
+        }
+        self.spent += started.elapsed();
+    }
+
+    /// Publish the closing `campaign` record. Returns every result in input
+    /// order and the wall time spent publishing, this record included.
+    pub(crate) fn finish(self) -> (Vec<ScenarioResult>, Duration) {
+        let results: Vec<ScenarioResult> =
+            self.slots.into_iter().map(|s| s.expect("every scenario slot filled")).collect();
+        let started = Instant::now();
+        publish_campaign_record(self.portal, &results);
+        (results, self.spent + started.elapsed())
+    }
+}
 
 /// Stream one scenario's summary record into the portal, and its plate
 /// images into the shared blob store. With `publish_records`, the
 /// scenario's full per-sample record set merges in too.
-pub(crate) fn publish_scenario(
+fn publish_scenario(
     portal: &AcdcPortal,
     store: &BlobStore,
     publish_records: bool,
@@ -63,7 +141,7 @@ pub(crate) fn publish_scenario(
 }
 
 /// One closing record describing the whole campaign.
-pub(crate) fn publish_campaign_record(portal: &AcdcPortal, results: &[ScenarioResult]) {
+fn publish_campaign_record(portal: &AcdcPortal, results: &[ScenarioResult]) {
     let mut v = Value::map();
     v.set("kind", "campaign");
     v.set("scenarios", results.len() as i64);

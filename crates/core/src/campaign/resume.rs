@@ -13,29 +13,24 @@
 //!    the solver would do again. Close telemetry that replay cannot see
 //!    (virtual duration, plate count, robot command totals) is patched
 //!    from the logged [`ScenarioSummary`].
-//! 3. **Re-drive** — scenarios without a terminal event run live on the
-//!    runner's thread pool, appending to the same log with a bumped
-//!    attempt number.
+//! 3. **Re-drive** — scenarios without a terminal event run live through
+//!    the runner's own pool loop, appending to the same log as the attempt
+//!    after the last one that started.
 //!
-//! The merged report publishes in input order, so its fingerprint is
-//! bit-identical to the uninterrupted run's.
+//! Both kinds of result go through the runner's in-order merge, so the
+//! report's fingerprint is bit-identical to the uninterrupted run's.
 
 use crate::app::{AppError, ExperimentOutcome};
 use crate::backend::{LabBackend, ReplayBackend};
-use crate::campaign::events::{
-    CampaignEvent, EventLog, EventScope, RecoveryReport, ScenarioSummary,
-};
-use crate::campaign::publish::{publish_campaign_record, publish_scenario};
+use crate::campaign::events::{CampaignEvent, EventLog, RecoveryReport, ScenarioSummary};
 use crate::campaign::report::{CampaignReport, ScenarioOutcome, ScenarioResult};
-use crate::campaign::runner::{best_of, execute, CampaignRunner};
+use crate::campaign::runner::{closed_event, CampaignRunner};
 use crate::campaign::spec::{RunMode, ScenarioSpec};
 use crate::experiment::Experiment;
 use sdl_datapub::SampleRecord;
-use sdl_vision::DetectorScratch;
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// What a resume restored versus re-executed.
 #[derive(Debug, Clone)]
@@ -153,12 +148,20 @@ impl CampaignRunner {
         })?;
         let n = specs.len();
 
-        let todo: Vec<usize> = (0..n).filter(|&i| mined[i].terminal.is_none()).collect();
+        // Re-drive every scenario without a terminal event as the attempt
+        // after the last one that started.
+        let todo: Vec<(usize, u32)> = (0..n)
+            .filter(|&i| mined[i].terminal.is_none())
+            .map(|i| (i, mined[i].last_attempt.map_or(0, |a| a + 1)))
+            .collect();
         let (replayed, redriven) = (n - todo.len(), todo.len());
         log.append(&CampaignEvent::CampaignResumed { replayed, redriven });
 
-        // Rebuild every terminal scenario from its logged attempt.
-        let mut slots: Vec<Option<ScenarioResult>> = (0..n).map(|_| None).collect();
+        // Rebuild every terminal scenario from its logged attempt, then
+        // re-drive the rest live on the runner's pool, appending to the
+        // recovered log. The merge publishes in input order, exactly as an
+        // uninterrupted run streams it.
+        let mut merge = self.merge(n);
         for (i, m) in mined.iter_mut().enumerate() {
             let Some(terminal) = m.terminal.take() else { continue };
             let spec = specs[i].clone();
@@ -169,88 +172,11 @@ impl CampaignRunner {
                 }
                 Err(msg) => Err(AppError::Restored(msg)),
             };
-            slots[i] = Some(ScenarioResult { spec, index: i, outcome });
+            merge.push(ScenarioResult { spec, index: i, outcome });
         }
-
-        // Re-drive the rest live, appending to the recovered log.
-        if !todo.is_empty() {
-            let workers = self.threads.min(todo.len());
-            let todo = Arc::new(todo);
-            let next = AtomicUsize::new(0);
-            let (tx, rx) = mpsc::channel::<(usize, ScenarioResult)>();
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let todo = Arc::clone(&todo);
-                    let (specs, mined, log, next) = (&specs, &mined, &log, &next);
-                    let tx = tx.clone();
-                    scope.spawn(move || {
-                        let mut scratch = DetectorScratch::default();
-                        let me = format!("local-{w}");
-                        loop {
-                            let pos = next.fetch_add(1, Ordering::Relaxed);
-                            if pos >= todo.len() {
-                                break;
-                            }
-                            let i = todo[pos];
-                            let spec = specs[i].clone();
-                            let attempt = mined[i].last_attempt.map_or(0, |a| a + 1);
-                            log.append(&CampaignEvent::ScenarioClaimed {
-                                index: i,
-                                worker: me.clone(),
-                                claim: "own".to_string(),
-                                queue_depth: todo.len() - (pos + 1),
-                            });
-                            log.append(&CampaignEvent::ScenarioStarted {
-                                index: i,
-                                label: spec.label.clone(),
-                                attempt,
-                                worker: me.clone(),
-                            });
-                            let ev = EventScope::new(Arc::clone(log), i, attempt);
-                            let outcome = execute(&spec, &mut scratch, Some(ev));
-                            log.append(&match &outcome {
-                                Ok(o) => CampaignEvent::ScenarioFinished {
-                                    index: i,
-                                    label: spec.label.clone(),
-                                    attempt,
-                                    worker: me.clone(),
-                                    summary: ScenarioSummary::of(o),
-                                },
-                                Err(e) => CampaignEvent::ScenarioFailed {
-                                    index: i,
-                                    label: spec.label.clone(),
-                                    attempt,
-                                    worker: me.clone(),
-                                    error: e.to_string(),
-                                },
-                            });
-                            if tx.send((i, ScenarioResult { spec, index: i, outcome })).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                drop(tx);
-                for (i, result) in rx {
-                    slots[i] = Some(result);
-                }
-            });
-        }
-
-        // Publish the merged campaign in input order, exactly as an
-        // uninterrupted run streams it.
-        let results: Vec<ScenarioResult> =
-            slots.into_iter().map(|s| s.expect("every scenario slot filled")).collect();
-        for result in &results {
-            publish_scenario(&self.portal, &self.store, self.publish_records, result);
-        }
-        publish_campaign_record(&self.portal, &results);
-        log.append(&CampaignEvent::CampaignClosed {
-            scenarios: n,
-            failed: results.iter().filter(|r| r.outcome.is_err()).count(),
-            best_score: best_of(&results),
-            scheduler: None,
-        });
+        self.drive(&specs, &todo, Some(&log), &mut merge);
+        let (results, _) = merge.finish();
+        log.append(&closed_event(&results, None));
 
         let stats = ResumeStats { replayed, redriven, recovery };
         Ok((

@@ -1,15 +1,16 @@
 //! The parallel campaign executor.
 
+use crate::app::AppError;
 use crate::backend::BackendSpec;
 use crate::campaign::events::{CampaignEvent, EventLog, EventScope, ScenarioSummary};
-use crate::campaign::publish::{publish_campaign_record, publish_scenario};
+use crate::campaign::publish::InOrderMerge;
 use crate::campaign::report::{CampaignReport, ScenarioOutcome, ScenarioResult};
 use crate::campaign::spec::{RunMode, ScenarioSpec};
 use crate::experiment::Experiment;
 use crate::multi::run_multi_ot2;
+use sdl_conf::Value;
 use sdl_datapub::{AcdcPortal, BlobStore};
 use sdl_vision::DetectorScratch;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
@@ -126,11 +127,6 @@ impl CampaignRunner {
                 threads: self.threads,
             };
         }
-        let workers = self.threads.min(n);
-        let scenarios = Arc::new(scenarios);
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, ScenarioResult)>();
-
         if let Some(log) = &self.events {
             log.append(&CampaignEvent::CampaignOpened {
                 campaign: self.name.clone(),
@@ -139,14 +135,36 @@ impl CampaignRunner {
                 specs: scenarios.iter().map(|s| s.to_value()).collect(),
             });
         }
+        let mut merge = self.merge(n);
+        let todo: Vec<(usize, u32)> = (0..n).map(|i| (i, 0)).collect();
+        self.drive(&scenarios, &todo, self.events.as_ref(), &mut merge);
+        let (results, _) = merge.finish();
+        if let Some(log) = &self.events {
+            log.append(&closed_event(&results, None));
+        }
+        CampaignReport { results, portal: Arc::clone(&self.portal), threads: self.threads }
+    }
 
-        let mut slots: Vec<Option<ScenarioResult>> = (0..n).map(|_| None).collect();
+    /// The in-order merge into this runner's portal and blob store.
+    pub(crate) fn merge(&self, n: usize) -> InOrderMerge<'_> {
+        InOrderMerge::new(n, &self.portal, &self.store, self.publish_records, self.progress)
+    }
+
+    /// The pool loop: run each `(index, attempt)` of `todo` as one attempt
+    /// of `specs[index]` on this runner's threads, and feed every result to
+    /// `merge` on the calling thread as it completes.
+    pub(crate) fn drive(
+        &self,
+        specs: &[ScenarioSpec],
+        todo: &[(usize, u32)],
+        events: Option<&Arc<EventLog>>,
+        merge: &mut InOrderMerge<'_>,
+    ) {
+        let next = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel::<ScenarioResult>();
         std::thread::scope(|scope| {
-            for w in 0..workers {
-                let scenarios = Arc::clone(&scenarios);
-                let next = &next;
-                let tx = tx.clone();
-                let events = self.events.as_ref();
+            for w in 0..self.threads.min(todo.len()) {
+                let (next, tx) = (&next, tx.clone());
                 scope.spawn(move || {
                     // One scratch arena per worker thread: detector buffers
                     // (several MB) are reused across every scenario this
@@ -154,116 +172,117 @@ impl CampaignRunner {
                     let mut scratch = DetectorScratch::default();
                     let me = format!("local-{w}");
                     loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= scenarios.len() {
-                            break;
-                        }
-                        let spec = scenarios[i].clone();
-                        if let Some(log) = events {
-                            log.append(&CampaignEvent::ScenarioClaimed {
-                                index: i,
-                                worker: me.clone(),
-                                claim: "own".to_string(),
-                                queue_depth: scenarios.len() - (i + 1),
-                            });
-                            log.append(&CampaignEvent::ScenarioStarted {
-                                index: i,
-                                label: spec.label.clone(),
-                                attempt: 0,
-                                worker: me.clone(),
-                            });
-                        }
-                        let ev = events.map(|log| EventScope::new(Arc::clone(log), i, 0));
-                        let outcome = execute(&spec, &mut scratch, ev);
-                        if let Some(log) = events {
-                            log.append(&match &outcome {
-                                Ok(o) => CampaignEvent::ScenarioFinished {
-                                    index: i,
-                                    label: spec.label.clone(),
-                                    attempt: 0,
-                                    worker: me.clone(),
-                                    summary: ScenarioSummary::of(o),
-                                },
-                                Err(e) => CampaignEvent::ScenarioFailed {
-                                    index: i,
-                                    label: spec.label.clone(),
-                                    attempt: 0,
-                                    worker: me.clone(),
-                                    error: e.to_string(),
-                                },
-                            });
-                        }
-                        let result = ScenarioResult { spec, index: i, outcome };
-                        if tx.send((i, result)).is_err() {
+                        let pos = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(i, attempt)) = todo.get(pos) else { break };
+                        let depth = todo.len() - (pos + 1);
+                        let result = run_attempt(
+                            &specs[i],
+                            i,
+                            attempt,
+                            (&me, "own", depth),
+                            &mut scratch,
+                            events,
+                        );
+                        if tx.send(result).is_err() {
                             break;
                         }
                     }
                 });
             }
             drop(tx);
-
-            // Collect on this thread, publishing completed prefixes in input
-            // order so the portal stream is deterministic too.
-            let mut pending: BTreeMap<usize, ScenarioResult> = BTreeMap::new();
-            let mut next_publish = 0usize;
-            let mut done = 0usize;
-            while done < n {
-                let (i, result) = rx.recv().expect("campaign worker channel closed early");
-                done += 1;
-                if self.progress {
-                    eprintln!(
-                        "[{done}/{n}] {} {}",
-                        result.spec.label,
-                        match &result.outcome {
-                            Ok(o) => format!("best {:.2} in {}", o.best_score(), o.duration()),
-                            Err(e) => format!("FAILED: {e}"),
-                        }
-                    );
-                }
-                pending.insert(i, result);
-                while let Some(result) = pending.remove(&next_publish) {
-                    publish_scenario(&self.portal, &self.store, self.publish_records, &result);
-                    slots[next_publish] = Some(result);
-                    next_publish += 1;
-                }
+            for result in rx {
+                merge.push(result);
             }
         });
-
-        let results: Vec<ScenarioResult> =
-            slots.into_iter().map(|s| s.expect("every scenario slot filled")).collect();
-        publish_campaign_record(&self.portal, &results);
-        if let Some(log) = &self.events {
-            log.append(&CampaignEvent::CampaignClosed {
-                scenarios: n,
-                failed: results.iter().filter(|r| r.outcome.is_err()).count(),
-                best_score: best_of(&results),
-                scheduler: None,
-            });
-        }
-        CampaignReport { results, portal: Arc::clone(&self.portal), threads: self.threads }
     }
 }
 
-/// Best (lowest) score across successful scenarios, if any.
-pub(crate) fn best_of(results: &[ScenarioResult]) -> Option<f64> {
-    results
-        .iter()
-        .filter_map(|r| r.outcome.as_ref().ok())
-        .map(|o| o.best_score())
-        .fold(None, |a, s| Some(a.map_or(s, |a: f64| a.min(s))))
+/// One execution attempt of scenario `index`, logged the same way by every
+/// executor that runs scenarios in this process: `scenario_claimed` by
+/// `(worker, claim, queue depth)`, `scenario_started`, the session's batch
+/// and sample events, then [`finish_event`]'s terminal event.
+pub(crate) fn run_attempt(
+    spec: &ScenarioSpec,
+    index: usize,
+    attempt: u32,
+    (worker, claim, queue_depth): (&str, &str, usize),
+    scratch: &mut DetectorScratch,
+    events: Option<&Arc<EventLog>>,
+) -> ScenarioResult {
+    if let Some(log) = events {
+        log.append(&CampaignEvent::ScenarioClaimed {
+            index,
+            worker: worker.to_string(),
+            claim: claim.to_string(),
+            queue_depth,
+        });
+        log.append(&CampaignEvent::ScenarioStarted {
+            index,
+            label: spec.label.clone(),
+            attempt,
+            worker: worker.to_string(),
+        });
+    }
+    let scope = events.map(|log| EventScope::new(Arc::clone(log), index, attempt));
+    let outcome = execute(spec, scratch, scope);
+    if let Some(log) = events {
+        log.append(&finish_event(index, spec, attempt, worker, &outcome));
+    }
+    ScenarioResult { spec: spec.clone(), index, outcome }
 }
 
-/// Run one scenario to completion (workers call this; also the single-run
-/// fast path): an [`Experiment`] session driven on the scenario's
-/// configured lab backend. `scratch` is the worker's reusable detector
-/// arena, loaned to backends with a detection pipeline. With `events`, the
-/// session appends batch/sample events as it goes (multi-OT2 scenarios log
-/// only their lifecycle; their summary carries the close telemetry).
+/// The terminal per-scenario event for one execution attempt.
+pub(crate) fn finish_event(
+    index: usize,
+    spec: &ScenarioSpec,
+    attempt: u32,
+    worker: &str,
+    outcome: &Result<ScenarioOutcome, AppError>,
+) -> CampaignEvent {
+    match outcome {
+        Ok(o) => CampaignEvent::ScenarioFinished {
+            index,
+            label: spec.label.clone(),
+            attempt,
+            worker: worker.to_string(),
+            summary: ScenarioSummary::of(o),
+        },
+        Err(e) => CampaignEvent::ScenarioFailed {
+            index,
+            label: spec.label.clone(),
+            attempt,
+            worker: worker.to_string(),
+            error: e.to_string(),
+        },
+    }
+}
+
+/// The `campaign_closed` event for a campaign's results; `best_score` is
+/// the lowest score across successful scenarios, if any.
+pub(crate) fn closed_event(results: &[ScenarioResult], scheduler: Option<Value>) -> CampaignEvent {
+    CampaignEvent::CampaignClosed {
+        scenarios: results.len(),
+        failed: results.iter().filter(|r| r.outcome.is_err()).count(),
+        best_score: results
+            .iter()
+            .filter_map(|r| r.outcome.as_ref().ok())
+            .map(|o| o.best_score())
+            .reduce(f64::min),
+        scheduler,
+    }
+}
+
+/// Run one scenario to completion ([`run_attempt`] calls this): an
+/// [`Experiment`] session driven on the scenario's configured lab backend.
+/// `scratch` is the worker's reusable detector arena, loaned to backends
+/// with a detection pipeline. With `events`, the session appends
+/// batch/sample events as it goes (multi-OT2 scenarios log only their
+/// lifecycle; their summary carries the close telemetry).
 pub(crate) fn execute(
     spec: &ScenarioSpec,
     scratch: &mut DetectorScratch,
     events: Option<EventScope>,
-) -> Result<ScenarioOutcome, crate::app::AppError> {
+) -> Result<ScenarioOutcome, AppError> {
     match spec.mode {
         RunMode::Single => {
             let mut session = Experiment::new(spec.config.clone())?;
@@ -278,7 +297,7 @@ pub(crate) fn execute(
         }
         RunMode::MultiOt2(n) => {
             if spec.backend != BackendSpec::Sim {
-                return Err(crate::app::AppError::Setup(format!(
+                return Err(AppError::Setup(format!(
                     "multi-OT2 scenarios only run on the sim backend (got '{}')",
                     spec.backend
                 )));

@@ -10,11 +10,10 @@
 //! finish slow workers' shards instead of idling. **Retry** — a transport
 //! failure ([`AppError::Transport`]) means the worker died, not the
 //! scenario: the driver evicts the worker, requeues the index, and starts
-//! probing `/healthz` for readmission. **Merge** — results slot into a
-//! fixed per-index table and publish in input order, so the merged
-//! [`CampaignReport`] (and its fingerprint) is bit-identical to the
-//! single-process run at any worker count, shard size, steal or failure
-//! interleaving.
+//! probing `/healthz` for readmission. **Merge** — results go through the
+//! runner's own in-order merge, so the merged [`CampaignReport`] (and its
+//! fingerprint) is bit-identical to the single-process run at any worker
+//! count, shard size, steal or failure interleaving.
 //!
 //! # Determinism
 //!
@@ -37,18 +36,17 @@
 
 use crate::app::AppError;
 use crate::backend::{BackendSpec, RemoteBackend, RetryPolicy};
-use crate::campaign::events::{CampaignEvent, EventLog, EventScope, ScenarioSummary};
-use crate::campaign::publish::{publish_campaign_record, publish_scenario};
+use crate::campaign::events::{CampaignEvent, EventLog, EventScope};
+use crate::campaign::publish::InOrderMerge;
 use crate::campaign::queue::{Claim, ShardQueue};
 use crate::campaign::report::{CampaignReport, ScenarioOutcome, ScenarioResult};
-use crate::campaign::runner::{best_of, execute};
+use crate::campaign::runner::{closed_event, finish_event, run_attempt};
 use crate::campaign::spec::{RunMode, ScenarioSpec};
 use crate::chaos::{self, ChaosPolicy};
 use crate::experiment::Experiment;
 use sdl_conf::Value;
 use sdl_datapub::{AcdcPortal, BlobStore};
 use sdl_vision::DetectorScratch;
-use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -290,7 +288,6 @@ pub struct CampaignScheduler {
     portal: Arc<AcdcPortal>,
     store: Arc<BlobStore>,
     progress: bool,
-    publish_records: bool,
     events: Option<Arc<EventLog>>,
     name: String,
 }
@@ -312,7 +309,6 @@ impl CampaignScheduler {
             portal: Arc::new(AcdcPortal::new()),
             store: Arc::new(BlobStore::in_memory()),
             progress: false,
-            publish_records: false,
             events: None,
             name: "campaign".to_string(),
         }
@@ -379,24 +375,9 @@ impl CampaignScheduler {
         self
     }
 
-    /// Builder: stream scenario summaries into an existing portal.
-    pub fn with_portal(mut self, portal: Arc<AcdcPortal>) -> CampaignScheduler {
-        self.portal = portal;
-        self
-    }
-
     /// Builder: collect plate images into an existing blob store.
     pub fn with_store(mut self, store: Arc<BlobStore>) -> CampaignScheduler {
         self.store = store;
-        self
-    }
-
-    /// Builder: also stream each scenario's full record set into the
-    /// campaign portal (see [`CampaignRunner::publish_records`]).
-    ///
-    /// [`CampaignRunner::publish_records`]: crate::CampaignRunner::publish_records
-    pub fn publish_records(mut self, on: bool) -> CampaignScheduler {
-        self.publish_records = on;
         self
     }
 
@@ -480,12 +461,11 @@ impl CampaignScheduler {
         // Drivers currently holding a live worker; the in-process fallback
         // only engages when this reaches zero.
         let healthy = AtomicUsize::new(pool);
-        let (tx, rx) = mpsc::channel::<(usize, ScenarioResult)>();
+        let (tx, rx) = mpsc::channel::<ScenarioResult>();
         let stats: Vec<parking_lot::Mutex<WorkerStats>> =
             sched.workers.drain(..).map(parking_lot::Mutex::new).collect();
 
-        let mut slots: Vec<Option<ScenarioResult>> = (0..n).map(|_| None).collect();
-        let mut merge_spent = Duration::ZERO;
+        let mut merge = InOrderMerge::new(n, &self.portal, &self.store, false, self.progress);
         std::thread::scope(|scope| {
             // One driver thread per remote worker.
             for (w, url) in self.workers.iter().enumerate() {
@@ -533,34 +513,13 @@ impl CampaignScheduler {
                 let local = [local, extra_local.to_vec()].concat();
                 scope.spawn(move || {
                     let mut scratch = DetectorScratch::default();
-                    let run_local =
-                        |i: usize, claim: &str, depth: usize, scratch: &mut DetectorScratch| {
-                            let spec = scenarios[i].clone();
-                            let attempt = attempts[i].fetch_add(1, Ordering::Relaxed);
-                            if let Some(log) = events {
-                                log.append(&CampaignEvent::ScenarioClaimed {
-                                    index: i,
-                                    worker: "driver".to_string(),
-                                    claim: claim.to_string(),
-                                    queue_depth: depth,
-                                });
-                                log.append(&CampaignEvent::ScenarioStarted {
-                                    index: i,
-                                    label: spec.label.clone(),
-                                    attempt,
-                                    worker: "driver".to_string(),
-                                });
-                            }
-                            let ev = events.map(|log| EventScope::new(Arc::clone(log), i, attempt));
-                            let outcome = execute(&spec, scratch, ev);
-                            if let Some(log) = events {
-                                log.append(&finish_event(i, &spec, attempt, "driver", &outcome));
-                            }
-                            ScenarioResult { spec, index: i, outcome }
-                        };
+                    let mut run_local = |i: usize, claim: &str, depth: usize| {
+                        let attempt = attempts[i].fetch_add(1, Ordering::Relaxed);
+                        let claimant = ("driver", claim, depth);
+                        run_attempt(&scenarios[i], i, attempt, claimant, &mut scratch, events)
+                    };
                     for (pos, &i) in local.iter().enumerate() {
-                        let result = run_local(i, "local", local.len() - (pos + 1), &mut scratch);
-                        if tx.send((i, result)).is_err() {
+                        if tx.send(run_local(i, "local", local.len() - (pos + 1))).is_err() {
                             return;
                         }
                     }
@@ -580,9 +539,9 @@ impl CampaignScheduler {
                             continue;
                         };
                         let depth = queue.outstanding().saturating_sub(1);
-                        let result = run_local(i, "fallback", depth, &mut scratch);
+                        let result = run_local(i, "fallback", depth);
                         queue.complete_one();
-                        if tx.send((i, result)).is_err() {
+                        if tx.send(result).is_err() {
                             return;
                         }
                     }
@@ -590,40 +549,13 @@ impl CampaignScheduler {
             }
             drop(tx);
 
-            // Deterministic merge: collect results, publish completed
-            // prefixes in input order (same protocol as CampaignRunner).
-            let mut pending: BTreeMap<usize, ScenarioResult> = BTreeMap::new();
-            let mut next_publish = 0usize;
-            let mut done = 0usize;
-            while done < n {
-                let (i, result) = rx.recv().expect("scheduler worker channel closed early");
-                done += 1;
-                if self.progress {
-                    eprintln!(
-                        "[{done}/{n}] {} {}",
-                        result.spec.label,
-                        match &result.outcome {
-                            Ok(o) => format!("best {:.2} in {}", o.best_score(), o.duration()),
-                            Err(e) => format!("FAILED: {e}"),
-                        }
-                    );
-                }
-                pending.insert(i, result);
-                let merge_started = Instant::now();
-                while let Some(result) = pending.remove(&next_publish) {
-                    publish_scenario(&self.portal, &self.store, self.publish_records, &result);
-                    slots[next_publish] = Some(result);
-                    next_publish += 1;
-                }
-                merge_spent += merge_started.elapsed();
+            // Deterministic merge: the runner's own, publishing completed
+            // prefixes in input order.
+            for result in rx {
+                merge.push(result);
             }
         });
-
-        let results: Vec<ScenarioResult> =
-            slots.into_iter().map(|s| s.expect("every scenario slot filled")).collect();
-        let merge_started = Instant::now();
-        publish_campaign_record(&self.portal, &results);
-        merge_spent += merge_started.elapsed();
+        let (results, merge_spent) = merge.finish();
 
         sched.workers = stats.into_iter().map(|m| m.into_inner()).collect();
         let remote_done: u64 = sched.workers.iter().map(|w| w.completed).sum();
@@ -643,12 +575,7 @@ impl CampaignScheduler {
         sched.phases.retry = sched.workers.iter().map(|w| w.retry_busy).sum();
         self.portal.ingest(sched.to_value());
         if let Some(log) = &self.events {
-            log.append(&CampaignEvent::CampaignClosed {
-                scenarios: n,
-                failed: results.iter().filter(|r| r.outcome.is_err()).count(),
-                best_score: best_of(&results),
-                scheduler: Some(sched.to_value()),
-            });
+            log.append(&closed_event(&results, Some(sched.to_value())));
         }
 
         let report =
@@ -666,32 +593,6 @@ fn local_unshippable_count(results: &[ScenarioResult]) -> u64 {
         .count() as u64
 }
 
-/// The terminal per-scenario event for one execution attempt.
-fn finish_event(
-    index: usize,
-    spec: &ScenarioSpec,
-    attempt: u32,
-    worker: &str,
-    outcome: &Result<ScenarioOutcome, AppError>,
-) -> CampaignEvent {
-    match outcome {
-        Ok(o) => CampaignEvent::ScenarioFinished {
-            index,
-            label: spec.label.clone(),
-            attempt,
-            worker: worker.to_string(),
-            summary: ScenarioSummary::of(o),
-        },
-        Err(e) => CampaignEvent::ScenarioFailed {
-            index,
-            label: spec.label.clone(),
-            attempt,
-            worker: worker.to_string(),
-            error: e.to_string(),
-        },
-    }
-}
-
 /// One remote worker's driver loop: claim → drive remotely → merge or
 /// requeue; on transport failure, evict and probe for readmission.
 #[allow(clippy::too_many_arguments)]
@@ -702,7 +603,7 @@ fn drive_worker(
     queue: &ShardQueue,
     healthy: &AtomicUsize,
     stats: &parking_lot::Mutex<WorkerStats>,
-    tx: &mpsc::Sender<(usize, ScenarioResult)>,
+    tx: &mpsc::Sender<ScenarioResult>,
     retry: RetryPolicy,
     probe_budget: u32,
     failure_budget: u32,
@@ -785,113 +686,73 @@ fn drive_worker(
             s.chaos_injected += wire.injected();
             s.sheds += wire.sheds;
         }
-        match outcome {
-            Err(e) if e.is_backpressure() => {
-                // Backpressure, not death: the worker answered 429/503 past
-                // the backend's in-request retry budget. It is alive and
-                // merely over capacity, so it stays in the healthy pool
-                // (no eviction, no probing) — the driver waits out the
-                // server's Retry-After and requeues the scenario for a
-                // clean re-drive. Bounded by the same failure budget as
-                // transport deaths so a permanently-shedding worker cannot
-                // livelock the campaign.
-                let failed_attempts = attempts[index].load(Ordering::Relaxed);
-                if failure_budget > 0 && failed_attempts >= failure_budget {
-                    queue.complete_one();
-                    {
-                        let mut s = stats.lock();
-                        s.retries += 1;
-                        s.retry_busy += busy;
-                        s.quarantined += 1;
-                    }
-                    let outcome: Result<ScenarioOutcome, AppError> =
-                        Err(AppError::Backend(format!(
-                            "quarantined after {failed_attempts} throttled attempts (last: {e})"
-                        )));
-                    if let Some(log) = events {
-                        log.append(&finish_event(index, &spec, attempt, url, &outcome));
-                    }
-                    if tx.send((index, ScenarioResult { spec, index, outcome })).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-                queue.requeue(index);
+        let outcome = match outcome {
+            Err(e) if e.is_backpressure() || e.is_transport() => {
                 {
                     let mut s = stats.lock();
                     s.retries += 1;
-                    s.throttled += 1;
                     s.retry_busy += busy;
                 }
-                std::thread::sleep(retry.backpressure_delay(e.retry_after(), 1));
-            }
-            Err(e) if e.is_transport() => {
                 // `attempts` counts starts, so the load already includes
                 // this just-failed attempt.
                 let failed_attempts = attempts[index].load(Ordering::Relaxed);
-                if failure_budget > 0 && failed_attempts >= failure_budget {
-                    // Quarantine: this scenario has now taken a worker down
-                    // with every attempt in its budget — a poison pill.
-                    // Requeueing it again would let it hunt the rest of the
-                    // pool (and then livelock the fallback), so finish it
-                    // as a *deterministic* failure instead. The worker is
-                    // not evicted here: its driver stays in rotation and
-                    // the very next claim decides its health on fresh
-                    // evidence.
-                    queue.complete_one();
-                    {
-                        let mut s = stats.lock();
-                        s.retries += 1;
-                        s.retry_busy += busy;
-                        s.quarantined += 1;
-                    }
-                    let outcome: Result<ScenarioOutcome, AppError> = Err(AppError::Backend(
-                        format!("quarantined after {failed_attempts} failed attempts (last: {e})"),
-                    ));
-                    if let Some(log) = events {
-                        log.append(&finish_event(index, &spec, attempt, url, &outcome));
-                    }
-                    if tx.send((index, ScenarioResult { spec, index, outcome })).is_err() {
-                        break;
+                if failure_budget == 0 || failed_attempts < failure_budget {
+                    queue.requeue(index);
+                    if e.is_backpressure() {
+                        // Backpressure, not death: the worker answered
+                        // 429/503 past the backend's in-request retry
+                        // budget. It is alive and merely over capacity, so
+                        // it stays in the healthy pool (no eviction, no
+                        // probing) — the driver waits out the server's
+                        // Retry-After and requeues the scenario for a clean
+                        // re-drive.
+                        stats.lock().throttled += 1;
+                        std::thread::sleep(retry.backpressure_delay(e.retry_after(), 1));
+                    } else {
+                        // Worker death, not scenario failure: the attempt's
+                        // session (and its partial records) died with the
+                        // worker; requeue for a clean re-drive elsewhere and
+                        // start probing.
+                        is_healthy = false;
+                        healthy.fetch_sub(1, Ordering::AcqRel);
+                        stats.lock().evictions += 1;
+                        if let Some(log) = events {
+                            log.append(&CampaignEvent::WorkerEvicted {
+                                worker: url.to_string(),
+                                requeued: index,
+                            });
+                        }
                     }
                     continue;
                 }
-                // Worker death, not scenario failure: the attempt's session
-                // (and its partial records) died with the worker; requeue
-                // for a clean re-drive elsewhere and start probing.
-                queue.requeue(index);
-                is_healthy = false;
-                healthy.fetch_sub(1, Ordering::AcqRel);
-                {
-                    let mut s = stats.lock();
-                    s.retries += 1;
-                    s.evictions += 1;
-                    s.retry_busy += busy;
-                }
-                if let Some(log) = events {
-                    log.append(&CampaignEvent::WorkerEvicted {
-                        worker: url.to_string(),
-                        requeued: index,
-                    });
-                }
+                // Quarantine: every attempt in this scenario's budget was
+                // throttled or took a worker down with it — a poison pill.
+                // Requeueing it again would let it hunt the rest of the
+                // pool (and then livelock the fallback), so finish it as a
+                // *deterministic* failure instead. The worker is not
+                // evicted here: its driver stays in rotation and the very
+                // next claim decides its health on fresh evidence.
+                stats.lock().quarantined += 1;
+                let what = if e.is_backpressure() { "throttled" } else { "failed" };
+                Err(AppError::Backend(format!(
+                    "quarantined after {failed_attempts} {what} attempts (last: {e})"
+                )))
             }
             outcome => {
-                {
-                    let mut s = stats.lock();
-                    s.completed += 1;
-                    if stolen {
-                        s.stolen += 1;
-                    }
+                let mut s = stats.lock();
+                s.completed += 1;
+                if stolen {
+                    s.stolen += 1;
                 }
-                queue.complete_one();
-                let outcome = outcome.map(|o| ScenarioOutcome::Single(Box::new(o)));
-                if let Some(log) = events {
-                    log.append(&finish_event(index, &spec, attempt, url, &outcome));
-                }
-                if tx.send((index, ScenarioResult { spec, index, outcome })).is_err() {
-                    break;
-                }
+                outcome.map(|o| ScenarioOutcome::Single(Box::new(o)))
             }
+        };
+        queue.complete_one();
+        if let Some(log) = events {
+            log.append(&finish_event(index, &spec, attempt, url, &outcome));
+        }
+        if tx.send(ScenarioResult { spec, index, outcome }).is_err() {
+            break;
         }
     }
     if is_healthy {

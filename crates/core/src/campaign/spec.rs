@@ -68,12 +68,6 @@ impl ScenarioSpec {
         }
     }
 
-    /// Builder: replace the execution mode.
-    pub fn with_mode(mut self, mode: RunMode) -> ScenarioSpec {
-        self.mode = mode;
-        self
-    }
-
     /// Builder: replace the lab executor.
     pub fn with_backend(mut self, backend: BackendSpec) -> ScenarioSpec {
         self.backend = backend;
@@ -117,6 +111,72 @@ impl ScenarioSpec {
         let doc = from_yaml(src).map_err(|e| ConfigError(e.to_string()))?;
         ScenarioSpec::from_value(&doc)
     }
+}
+
+/// The most scenarios one campaign document may expand to.
+const MAX_SCENARIOS: usize = 100_000;
+
+/// The matrix axes [`CampaignConfig::scenarios`] crosses.
+const AXES: [&str; 10] = [
+    "solvers",
+    "batches",
+    "targets",
+    "mix_models",
+    "fidelities",
+    "objectives",
+    "drifts",
+    "fault_rates",
+    "n_ot2",
+    "seeds",
+];
+
+/// The campaign keys that are not axes.
+const SETTINGS: [&str; 5] = ["name", "backend", "threads", "workers", "shard"];
+
+/// The number of scenarios `doc` expands to, `None` past `usize::MAX`: the
+/// product of its axis lengths, where `seeds: N` counts N and an absent or
+/// empty axis counts once.
+fn scenario_count(doc: &Value) -> Option<usize> {
+    AXES.iter().try_fold(1usize, |count, &key| {
+        let len = match doc.get(key) {
+            Some(Value::Int(n)) if key == "seeds" => usize::try_from(*n).unwrap_or(0),
+            Some(v) => v.as_seq().map_or(0, <[Value]>::len),
+            None => 0,
+        };
+        count.checked_mul(len.max(1))
+    })
+}
+
+/// The error for an unknown campaign key, naming the closest known key
+/// within edit distance 2.
+fn unknown_key(key: &str) -> ConfigError {
+    let closest = AppConfig::KEYS
+        .iter()
+        .chain(&AXES)
+        .chain(&SETTINGS)
+        .map(|known| (edit_distance(key, known), *known))
+        .filter(|&(d, _)| d <= 2)
+        .min();
+    match closest {
+        Some((_, known)) => {
+            ConfigError(format!("unknown campaign key '{key}' (did you mean '{known}'?)"))
+        }
+        None => ConfigError(format!("unknown campaign key '{key}'")),
+    }
+}
+
+/// Levenshtein distance between two strings, in chars.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut prev: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut cur = vec![i + 1];
+        for (j, &cb) in b.iter().enumerate() {
+            cur.push((prev[j] + usize::from(ca != cb)).min(prev[j + 1] + 1).min(cur[j] + 1));
+        }
+        prev = cur;
+    }
+    prev[b.len()]
 }
 
 /// A declarative scenario matrix: every combination of the listed axes
@@ -207,8 +267,24 @@ impl CampaignConfig {
         CampaignConfig::from_value(&doc)
     }
 
-    /// Decode from an `sdl-conf` value tree.
+    /// Decode from an `sdl-conf` value tree. Refuses a key that is neither
+    /// an [`AppConfig`] key nor a campaign key, and a matrix of more than
+    /// 100,000 scenarios, before allocating any of it.
     pub fn from_value(doc: &Value) -> Result<CampaignConfig, ConfigError> {
+        for (key, _) in doc.as_map().unwrap_or_default() {
+            let key = key.as_str();
+            if !(AppConfig::KEYS.contains(&key) || AXES.contains(&key) || SETTINGS.contains(&key)) {
+                return Err(unknown_key(key));
+            }
+        }
+        let count = scenario_count(doc);
+        if count.is_none_or(|n| n > MAX_SCENARIOS) {
+            let count =
+                count.map_or_else(|| format!("more than {}", usize::MAX), |n| n.to_string());
+            return Err(ConfigError(format!(
+                "campaign expands to {count} scenarios, above the limit of {MAX_SCENARIOS}"
+            )));
+        }
         let base = AppConfig::from_value(doc)?;
         let mut cfg =
             CampaignConfig::single(doc.opt_str("name").unwrap_or("campaign").to_string(), base);
@@ -634,6 +710,39 @@ mod tests {
         let cfg = CampaignConfig::from_yaml("samples: 16\n").unwrap();
         assert_eq!(cfg.scenarios().len(), 1);
         assert_eq!(cfg.scenarios()[0].mode, RunMode::Single);
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected_with_a_hint() {
+        let err = CampaignConfig::from_yaml("samples: 8\nfidelites: [fast]\n").unwrap_err();
+        assert!(err.0.contains("'fidelites'") && err.0.contains("'fidelities'"), "{err}");
+        let err = CampaignConfig::from_yaml("colour: red\n").unwrap_err();
+        assert_eq!(err.0, "unknown campaign key 'colour'");
+        assert_eq!(edit_distance("fidelites", "fidelities"), 1);
+        assert_eq!(edit_distance("", "seed"), 4);
+        assert_eq!(edit_distance("batch", "batches"), 2);
+    }
+
+    #[test]
+    fn oversized_matrices_are_refused_before_allocating() {
+        let err = CampaignConfig::from_yaml("seeds: 2000000000\n").unwrap_err();
+        assert!(err.0.contains("2000000000 scenarios") && err.0.contains("100000"), "{err}");
+        // 20000 seeds x 20 batches x 5 solvers: a short document, 2M scenarios.
+        let batches: Vec<String> = (1..=20).map(|b| b.to_string()).collect();
+        let doc = format!(
+            "samples: 8\nsolvers: [genetic, bayesian, random, grid, annealing]\n\
+             batches: [{}]\nseeds: 20000\n",
+            batches.join(", ")
+        );
+        let err = CampaignConfig::from_yaml(&doc).unwrap_err();
+        assert!(err.0.contains("2000000 scenarios"), "{err}");
+        let huge = "seeds: 9223372036854775807\nbatches: [1, 2, 3]\n";
+        assert!(CampaignConfig::from_yaml(huge).unwrap_err().0.contains("more than"));
+        // The README's 576-scenario matrix is well inside the limit.
+        let readme = "name: solver-study\nsamples: 64\nseed: 42\n\
+                      solvers: [genetic, bayesian, random]\nseeds: 32\n\
+                      batches: [1, 4, 16]\nfault_rates: [0.0, 0.05]\n";
+        assert_eq!(CampaignConfig::from_yaml(readme).unwrap().scenarios().len(), 576);
     }
 
     #[test]

@@ -33,6 +33,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use crate::campaign::fnv1a64;
 use rand::counter;
 
 /// A parsed chaos schedule: per-fault probabilities plus the seed that
@@ -194,17 +195,6 @@ impl ChaosPolicy {
 pub fn stream_key(worker: &str, scenario: usize, attempt: u32) -> u64 {
     let url = counter::mix64(fnv1a64(worker.as_bytes()));
     counter::hash(counter::hash(url, scenario as u64), attempt as u64)
-}
-
-/// FNV-1a 64-bit — the same tiny hash the event log uses for line
-/// checksums, reused here to fold worker URLs into stream keys.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A deterministic roll stream for one client-side injection site.

@@ -172,6 +172,33 @@ impl AppConfig {
         AppConfig::from_value(&doc)
     }
 
+    /// Every top-level key [`AppConfig::from_value`] reads.
+    pub(crate) const KEYS: [&'static str; 23] = [
+        "experiment",
+        "date",
+        "target",
+        "target_set",
+        "target_to",
+        "samples",
+        "batch",
+        "solver",
+        "objective",
+        "metric",
+        "mix_model",
+        "seed",
+        "match_threshold",
+        "refill_watermark_ul",
+        "publish_images",
+        "compute_seconds",
+        "flat_field",
+        "fidelity",
+        "drift",
+        "dyes",
+        "workcell_yaml",
+        "fault_reception",
+        "fault_action",
+    ];
+
     /// Build from an already-parsed `sdl-conf` value tree; unspecified
     /// fields keep their defaults.
     pub fn from_value(doc: &Value) -> Result<AppConfig, ConfigError> {
@@ -440,6 +467,27 @@ mod tests {
         assert_eq!(c.mix, MixKind::Linear);
         assert_eq!(c.seed, 9);
         assert_eq!(c.match_threshold, Some(5.0));
+    }
+
+    #[test]
+    fn every_encoded_key_is_a_known_key() {
+        // Every optional field set, so `to_value` writes every key it can.
+        let c = AppConfig {
+            target_set: vec![Rgb8::new(200, 10, 10)],
+            target_to: Some(Rgb8::new(250, 250, 250)),
+            match_threshold: Some(5.0),
+            drift: Some(DriftSpec::WB_GAIN),
+            workcell_yaml: "modules: []\n".to_string(),
+            faults: FaultPlan::uniform(FaultRates::new(0.1, 0.05)),
+            ..AppConfig::default()
+        };
+        let v = c.to_value();
+        let entries = v.as_map().unwrap();
+        // All keys but the `metric` alias.
+        assert_eq!(entries.len(), AppConfig::KEYS.len() - 1);
+        for (key, _) in entries {
+            assert!(AppConfig::KEYS.contains(&key.as_str()), "'{key}' missing from KEYS");
+        }
     }
 
     #[test]

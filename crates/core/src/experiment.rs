@@ -108,11 +108,6 @@ impl Experiment {
         self.termination.as_ref()
     }
 
-    /// True once a termination criterion has been met.
-    pub fn is_done(&self) -> bool {
-        self.termination.is_some()
-    }
-
     /// The portal every record publishes into.
     pub fn portal(&self) -> &Arc<AcdcPortal> {
         &self.portal

@@ -149,11 +149,6 @@ impl World {
         self.banks.insert(name.into(), bank);
     }
 
-    /// All slot names.
-    pub fn slot_names(&self) -> Vec<&str> {
-        self.slots.keys().map(String::as_str).collect()
-    }
-
     /// Create a new plate directly in `slot` (the sciclops does this).
     pub fn spawn_plate(&mut self, slot: &str, plate: Microplate) -> Result<PlateId, WorldError> {
         let entry = self.slots.get_mut(slot).ok_or_else(|| WorldError::NoSuchSlot(slot.into()))?;

@@ -62,11 +62,6 @@ pub struct QuotaPolicy {
 }
 
 impl QuotaPolicy {
-    /// `rate` requests/second with a burst of the same size (min 1).
-    pub fn per_second(rate: f64) -> QuotaPolicy {
-        QuotaPolicy { rate, burst: rate.max(1.0) }
-    }
-
     /// Parse `"RATE"` or `"RATE:BURST"` (e.g. `"5"`, `"2.5:20"`).
     pub fn parse(spec: &str) -> Result<QuotaPolicy, String> {
         let (rate, burst) = match spec.split_once(':') {
