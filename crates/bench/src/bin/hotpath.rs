@@ -1,211 +1,38 @@
-//! `hotpath` — the tracked perf trajectory of the optimize→mix→image→detect
-//! inner loop.
+//! `hotpath` — the rows the end-to-end benchmark does not cover.
 //!
-//! Measures, before vs. after the tracked optimization PRs (the "before"
-//! paths — `RefGp`, `render_reference` — are kept runnable in-tree for
-//! exactly this purpose):
+//! `perfbench` (see `BENCHMARK.json`) is the benchmark of record: it times
+//! solver propose, render, detect, the `/v1/batch` wire and the scheduler
+//! inside real campaigns. This bench keeps only what no perfbench workload
+//! measures or gates:
 //!
-//! 1. `BayesSolver::propose` latency at history n = 20 / 80 / 160 —
-//!    from-scratch `fit_auto` + per-candidate EI vs. incremental
-//!    `Gp::extend` + batched EI;
-//! 2. render-only latency per camera fidelity profile — the frozen
-//!    sequential reference renderer vs. the counter-based tiled path at
-//!    `fast` (640×480) and `lowres` (320×240);
-//! 3. per-sample simulated-measurement latency — the historical
-//!    fresh-allocation reference render + detect vs. the counter-based
-//!    render with reused frame buffer + detector scratch;
-//! 4. backend-dispatch overhead — one ask/tell batch through `SimBackend`
-//!    directly vs. `RemoteBackend` over loopback HTTP (the `/v1/batch`
-//!    wire path);
-//! 5. full-campaign throughput with the Bayesian solver: the pre-perf-PR
-//!    configuration (full fidelity, from-scratch solver) vs. today's
-//!    default path;
-//! 6. distributed-scheduler throughput — one scenario matrix fanned over
-//!    1/2/4 loopback workers via `CampaignScheduler` (samples/s plus
-//!    scaling vs. a single worker; flat on a one-core host by design);
-//! 7. campaign event-log append overhead — mean durable-append latency
-//!    times the events a batch emits, as a fraction of the batch's lab
-//!    wall time (`--check` gates it below 2%);
-//! 8. overload admission — offered load at 1×/2×/4× a tiny
-//!    live-connection cap: admitted req/s, p50/p99 latency of admitted
-//!    requests, and the shed rate (503-at-accept share). The 4× row must
-//!    actually shed (`--check` gates it).
+//! 1. `colorspace` — per-op latency of the sRGB→Lab / sRGB→Jab conversions
+//!    and the perceptual metrics, one stage at a time (every perfbench
+//!    workload scores with the `rgb` objective);
+//! 2. `event_log` — mean durable-append latency times the events a batch
+//!    emits, as a fraction of the median `SimBackend` batch
+//!    (`--check` gates it below 2%);
+//! 3. `overload` — offered load at 1×/2×/4× a tiny live-connection cap:
+//!    admitted req/s, p50/p99 latency of admitted requests, and the shed
+//!    rate (503-at-accept share). The 4× row must actually shed
+//!    (`--check` gates it).
 //!
 //! Writes machine-readable `BENCH_hotpath.json` (repo root when run from
-//! there; `--out` to override) so successive PRs accumulate a perf
-//! trajectory. `--smoke` runs a fast CI-sized variant; `--check <file>`
-//! validates an existing output file and exits.
+//! there; `--out` to override). `--smoke` runs a fast CI-sized variant;
+//! `--check <file>` validates an existing output file and exits.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sdl_bench::{arg_or, median};
+use sdl_bench::{arg_or, median, percentile};
 use sdl_color::{ciede2000, Jab, Lab, Rgb8};
 use sdl_conf::{from_json, to_json_pretty, Value, ValueExt};
-use sdl_core::{
-    AppConfig, CampaignEvent, CampaignScheduler, ColorPickerApp, EventLog, Experiment, LabBackend,
-    RemoteBackend, ScenarioSpec, SimBackend,
-};
-use sdl_solvers::{BayesSolver, ColorSolver, Observation, SolverKind};
-use sdl_vision::{
-    render_into, render_reference, render_reference_into, render_tiled, CameraGeometry, Detector,
-    DetectorScratch, Fidelity, ImageRgb8, PlateScene,
-};
+use sdl_core::{AppConfig, CampaignEvent, EventLog, Experiment, LabBackend, SimBackend};
+use sdl_solvers::SolverKind;
 use std::time::Instant;
 
-/// A synthetic observation of the 4-dye objective used for propose timing.
-fn synth_obs(rng: &mut StdRng) -> Observation {
-    let hidden = [0.18, 0.16, 0.16, 0.62];
-    let ratios: Vec<f64> = (0..4).map(|_| rng.gen::<f64>()).collect();
-    let score =
-        ratios.iter().zip(&hidden).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt() * 100.0;
-    Observation { ratios, measured: Rgb8::new(0, 0, 0), score }
-}
-
-/// Median propose latency (µs) at a history of exactly `n` points, in the
-/// campaign loop's steady state: the surrogate cache is warm from the
-/// previous iteration (history `n - batch`), so the timed call pays one
-/// batch of incremental extends plus the EI scoring pass — never a cold
-/// refit, and never a history larger than the labeled `n`.
-fn time_propose(incremental: bool, n: usize, batch: usize, reps: usize) -> f64 {
-    let mut rng = StdRng::seed_from_u64(42);
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let mut solver = BayesSolver::new(4);
-        solver.incremental = incremental;
-        // Keep the full history in the fit window so the bench scales with n.
-        solver.max_fit_points = 4096;
-        let mut history: Vec<Observation> = (0..n - batch).map(|_| synth_obs(&mut rng)).collect();
-        // Warm call (untimed): builds the incremental cache at n - batch.
-        let _ = solver.propose(Rgb8::PAPER_TARGET, &history, batch, &mut rng);
-        for _ in 0..batch {
-            history.push(synth_obs(&mut rng));
-        }
-        let t = Instant::now();
-        let props = solver.propose(Rgb8::PAPER_TARGET, &history, batch, &mut rng);
-        samples.push(t.elapsed().as_secs_f64() * 1e6);
-        assert_eq!(props.len(), batch);
-        assert_eq!(history.len(), n);
-    }
-    median(&samples)
-}
-
-/// A 96-well scene for the render/measure timings.
-fn bench_scene() -> PlateScene {
-    let mut scene = PlateScene::empty_plate();
-    for i in 0..96 {
-        scene.set_well(i / 12, i % 12, sdl_color::LinRgb::new(0.2, 0.25, 0.3));
-    }
-    scene
-}
-
-/// Median latency (µs) of the frozen reference renderer at full
-/// resolution — the shared "before" arm of every `render` row.
-fn time_render_reference(reps: usize) -> f64 {
-    let scene = bench_scene();
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut buf = ImageRgb8::new(1, 1, Rgb8::default());
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        render_reference_into(&scene, &mut rng, &mut buf);
-        samples.push(t.elapsed().as_secs_f64() * 1e6);
-    }
-    median(&samples)
-}
-
-/// Median render-only latency (µs) for one fidelity profile through the
-/// counter-based tiled path.
-fn time_render_fast(profile: Fidelity, reps: usize) -> f64 {
-    let mut scene = bench_scene();
-    scene.camera = CameraGeometry::for_fidelity(profile);
-    let mut buf = ImageRgb8::new(1, 1, Rgb8::default());
-    let mut samples = Vec::with_capacity(reps);
-    for rep in 0..reps {
-        let t = Instant::now();
-        render_tiled(&scene, rep as u64, &mut buf, 32, 1);
-        samples.push(t.elapsed().as_secs_f64() * 1e6);
-    }
-    median(&samples)
-}
-
-/// Median per-frame measurement latency (µs): render a 96-well plate scene
-/// and run the full detection pipeline. `optimized` is today's default
-/// path (counter-based render, reused buffers); the baseline is the
-/// historical one (reference render, fresh allocations).
-fn time_measure(optimized: bool, reps: usize) -> f64 {
-    let mut scene = bench_scene();
-    if !optimized {
-        scene.camera = CameraGeometry::for_fidelity(Fidelity::Full);
-    }
-    let detector = Detector::default();
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut buf = ImageRgb8::new(scene.camera.width_px, scene.camera.height_px, Rgb8::default());
-    let mut scratch = DetectorScratch::default();
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        let reading = if optimized {
-            render_into(&scene, &mut rng, &mut buf);
-            detector.detect_with(&buf, &mut scratch)
-        } else {
-            let img = render_reference(&scene, &mut rng);
-            detector.detect(&img)
-        };
-        samples.push(t.elapsed().as_secs_f64() * 1e6);
-        assert!(reading.is_ok());
-    }
-    median(&samples)
-}
-
-/// One full campaign's wall time (s) for `budget` samples with the
-/// Bayesian solver: `optimized` is today's default path; the baseline is
-/// the pre-perf-PR configuration (full-fidelity reference render and the
-/// from-scratch solver).
-fn run_campaign(optimized: bool, budget: u32) -> (f64, u32) {
-    let config = AppConfig {
-        solver: SolverKind::Bayesian,
-        sample_budget: budget,
-        batch: 4,
-        seed: 11,
-        publish_images: false,
-        fidelity: if optimized { Fidelity::Fast } else { Fidelity::Full },
-        ..AppConfig::default()
-    };
-    let mut app = ColorPickerApp::new(config).expect("app construction");
-    if !optimized {
-        let mut reference = BayesSolver::new(4);
-        reference.incremental = false;
-        app.replace_solver(Box::new(reference));
-    }
-    let t = Instant::now();
-    let out = app.run().expect("campaign run");
-    (t.elapsed().as_secs_f64(), out.samples_measured)
-}
-
-/// Median campaign wall times (s) as `(before, after, samples)`. The
-/// variants run interleaved (before/after per rep) so slow clock drift on
-/// a busy or thermally throttling host biases neither side, and the
-/// medians keep the reported factor stable.
-fn time_campaign(budget: u32, reps: usize) -> (f64, f64, u32) {
-    let mut before = Vec::with_capacity(reps);
-    let mut after = Vec::with_capacity(reps);
-    let mut samples = 0;
-    for _ in 0..reps {
-        let (t, n) = run_campaign(false, budget);
-        before.push(t);
-        samples = n;
-        let (t, _) = run_campaign(true, budget);
-        after.push(t);
-    }
-    (median(&before), median(&after), samples)
-}
-
-/// Median per-batch `LabBackend::submit_batch` latency (µs) through an
-/// ask/tell session: `remote` drives an in-process loopback worker over
-/// HTTP, `None` calls `SimBackend` directly. Same config and seed either
-/// way, so the difference is pure dispatch overhead (wire codecs + HTTP +
-/// scheduling), not lab work.
-fn time_backend_dispatch(remote: Option<&str>, batches: u32, batch: u32) -> f64 {
+/// Median per-batch `SimBackend::submit_batch` latency (µs) through an
+/// ask/tell session: the lab work one batch costs, and the denominator of
+/// the event-log overhead.
+fn time_sim_submit(batches: u32, batch: u32) -> f64 {
     let config = AppConfig {
         solver: SolverKind::Random,
         sample_budget: batches * batch,
@@ -215,10 +42,7 @@ fn time_backend_dispatch(remote: Option<&str>, batches: u32, batch: u32) -> f64 
         ..AppConfig::default()
     };
     let mut session = Experiment::new(config.clone()).expect("session");
-    let mut backend: Box<dyn LabBackend> = match remote {
-        Some(addr) => Box::new(RemoteBackend::new(addr, config.clone())),
-        None => Box::new(SimBackend::new(&config).expect("sim backend")),
-    };
+    let mut backend = SimBackend::new(&config).expect("sim backend");
     let caps = backend.open().expect("backend opens");
     let mut samples = Vec::with_capacity(batches as usize);
     while let Some(b) = session.ask(&caps) {
@@ -260,18 +84,6 @@ fn time_event_append(n: usize) -> f64 {
     drop(log);
     let _ = std::fs::remove_file(&path);
     mean
-}
-
-/// Spawn a loopback lab worker (the `sdl-lab serve` stack, in-process).
-fn loopback_worker() -> sdl_portal_server::ServerHandle {
-    use std::sync::Arc;
-    let server = sdl_portal_server::PortalServer::new(
-        Arc::new(sdl_datapub::AcdcPortal::new()),
-        Arc::new(sdl_datapub::BlobStore::in_memory()),
-    )
-    .with_lab(Arc::new(sdl_portal_server::LabHost::new()));
-    sdl_portal_server::spawn(server, &sdl_portal_server::ServerConfig::default())
-        .expect("bind loopback worker")
 }
 
 /// Spawn a portal server capped at `cap` live connections (no lab — the
@@ -331,33 +143,6 @@ fn overload_client(addr: std::net::SocketAddr, attempts: usize) -> (Vec<f64>, u6
     (lat, ok, shed)
 }
 
-/// Percentile over a sorted sample set.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// The scenario matrix the distributed-scheduler throughput rows fan out.
-fn scheduler_scenarios(count: usize, samples: u32) -> Vec<ScenarioSpec> {
-    (0..count)
-        .map(|i| {
-            let config = AppConfig {
-                solver: SolverKind::Random,
-                sample_budget: samples,
-                batch: 4,
-                seed: 900 + i as u64,
-                publish_images: false,
-                fidelity: Fidelity::Fast,
-                ..AppConfig::default()
-            };
-            ScenarioSpec::new(format!("sched{i}"), config)
-        })
-        .collect()
-}
-
 /// Median per-operation latency (ns) of one color-space op over a
 /// deterministic swatch set. Every scored sample pays these on the
 /// perceptual-objective path (sRGB→Lab or sRGB→Jab per endpoint, then the
@@ -390,33 +175,7 @@ fn check(path: &str) {
     let src = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("{path}: cannot read BENCH_hotpath output: {e}"));
     let doc = from_json(&src).unwrap_or_else(|e| panic!("{path}: malformed JSON: {e}"));
-    assert_eq!(doc.opt_str("schema"), Some("sdl-hotpath/1"), "{path}: wrong schema tag");
-    let propose = doc.get("propose").and_then(Value::as_seq).expect("propose section");
-    assert!(!propose.is_empty(), "{path}: empty propose section");
-    for row in propose {
-        for key in ["n", "before_us", "after_us", "speedup"] {
-            assert!(row.get(key).is_some(), "{path}: propose row missing '{key}'");
-        }
-    }
-    let render = doc.get("render").and_then(Value::as_seq).expect("render section");
-    assert!(!render.is_empty(), "{path}: empty render section");
-    for row in render {
-        for key in ["profile", "reference_us", "fast_us", "speedup"] {
-            assert!(row.get(key).is_some(), "{path}: render row missing '{key}'");
-        }
-    }
-    for section in ["measure", "campaign"] {
-        let s = doc.get(section).unwrap_or_else(|| panic!("{path}: missing '{section}'"));
-        assert!(s.get("speedup").and_then(Value::as_f64).is_some(), "{section}.speedup");
-    }
-    let dispatch =
-        doc.get("backend_dispatch").and_then(Value::as_seq).expect("backend_dispatch section");
-    assert!(!dispatch.is_empty(), "{path}: empty backend_dispatch section");
-    for row in dispatch {
-        for key in ["batch", "sim_us", "remote_us", "overhead_us"] {
-            assert!(row.get(key).is_some(), "{path}: backend_dispatch row missing '{key}'");
-        }
-    }
+    assert_eq!(doc.opt_str("schema"), Some("sdl-hotpath/2"), "{path}: wrong schema tag");
     let event_log = doc.get("event_log").unwrap_or_else(|| panic!("{path}: missing 'event_log'"));
     for key in ["appends", "append_us_mean", "events_per_batch", "batch_wall_us", "overhead_frac"] {
         assert!(event_log.get(key).is_some(), "{path}: event_log missing '{key}'");
@@ -437,17 +196,6 @@ fn check(path: &str) {
         assert!(
             row.get("ns").and_then(Value::as_f64).is_some_and(|v| v > 0.0),
             "{path}: colorspace op '{op}' needs a positive 'ns'"
-        );
-    }
-    let scheduler = doc.get("scheduler").and_then(Value::as_seq).expect("scheduler section");
-    assert!(!scheduler.is_empty(), "{path}: empty scheduler section");
-    for row in scheduler {
-        for key in ["workers", "scenarios", "samples", "wall_s", "samples_per_s", "speedup_vs_1"] {
-            assert!(row.get(key).is_some(), "{path}: scheduler row missing '{key}'");
-        }
-        assert!(
-            row.get("samples_per_s").and_then(Value::as_f64).is_some_and(|v| v > 0.0),
-            "{path}: scheduler throughput must be positive"
         );
     }
     let overload = doc.get("overload").and_then(Value::as_seq).expect("overload section");
@@ -481,53 +229,11 @@ fn main() {
         return;
     }
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = arg_or("--out".to_string().as_str(), "BENCH_hotpath.json".to_string());
-
-    let (propose_reps, measure_reps, budget, campaign_reps) =
-        if smoke { (3, 2, 16, 1) } else { (15, 8, 160, 3) };
-    let batch = 4;
+    let out_path = arg_or("--out", "BENCH_hotpath.json".to_string());
 
     let mut doc = Value::map();
-    doc.set("schema", "sdl-hotpath/1");
+    doc.set("schema", "sdl-hotpath/2");
     doc.set("mode", if smoke { "smoke" } else { "full" });
-
-    let mut propose = Value::seq();
-    for n in [20usize, 80, 160] {
-        let before = time_propose(false, n, batch, propose_reps);
-        let after = time_propose(true, n, batch, propose_reps);
-        let mut row = Value::map();
-        row.set("n", n as i64);
-        row.set("batch", batch as i64);
-        row.set("before_us", before);
-        row.set("after_us", after);
-        row.set("speedup", before / after);
-        eprintln!("propose n={n}: {before:.0}µs -> {after:.0}µs ({:.1}x)", before / after);
-        propose.push(row);
-    }
-    doc.set("propose", propose);
-
-    // Render-only latency per fidelity profile, vs one shared measurement
-    // of the frozen reference.
-    let mut render = Value::seq();
-    let ref_us = time_render_reference(measure_reps);
-    for profile in [Fidelity::Fast, Fidelity::Lowres] {
-        let fast_us = time_render_fast(profile, measure_reps);
-        let geom = CameraGeometry::for_fidelity(profile);
-        let mut row = Value::map();
-        row.set("profile", profile.name());
-        row.set("width", geom.width_px as i64);
-        row.set("height", geom.height_px as i64);
-        row.set("reference_us", ref_us);
-        row.set("fast_us", fast_us);
-        row.set("speedup", ref_us / fast_us);
-        eprintln!(
-            "render {}: reference {ref_us:.0}µs -> {fast_us:.0}µs ({:.1}x)",
-            profile.name(),
-            ref_us / fast_us
-        );
-        render.push(row);
-    }
-    doc.set("render", render);
 
     // Color-space conversions and perceptual metrics (the objective
     // subsystem's hot path). The metric rows are end-to-end per scored
@@ -554,109 +260,28 @@ fn main() {
     }
     doc.set("colorspace", colorspace);
 
-    let m_before = time_measure(false, measure_reps);
-    let m_after = time_measure(true, measure_reps);
-    let mut measure = Value::map();
-    measure.set("wells", 96i64);
-    measure.set("before_us", m_before);
-    measure.set("after_us", m_after);
-    measure.set("per_sample_after_us", m_after / batch as f64);
-    measure.set("speedup", m_before / m_after);
-    eprintln!("measure: {m_before:.0}µs -> {m_after:.0}µs per frame ({:.2}x)", m_before / m_after);
-    doc.set("measure", measure);
-
-    // Backend-dispatch overhead: the same ask/tell session driving the
-    // same simulated lab, directly vs over loopback HTTP (PR 4's seam).
-    let worker = loopback_worker();
-    let worker_addr = worker.addr().to_string();
-    let dispatch_batches = if smoke { 4 } else { 16 };
-    let mut dispatch = Value::seq();
-    let mut sim_b4_us = 0.0f64;
-    for batch in [1u32, 4] {
-        let sim_us = time_backend_dispatch(None, dispatch_batches, batch);
-        let remote_us = time_backend_dispatch(Some(&worker_addr), dispatch_batches, batch);
-        if batch == 4 {
-            sim_b4_us = sim_us;
-        }
-        let mut row = Value::map();
-        row.set("batch", batch as i64);
-        row.set("batches", dispatch_batches as i64);
-        row.set("sim_us", sim_us);
-        row.set("remote_us", remote_us);
-        row.set("overhead_us", remote_us - sim_us);
-        row.set("overhead_frac", (remote_us - sim_us) / sim_us);
-        eprintln!(
-            "backend dispatch b={batch}: sim {sim_us:.0}µs -> remote {remote_us:.0}µs \
-             (+{:.0}µs, {:.1}%)",
-            remote_us - sim_us,
-            100.0 * (remote_us - sim_us) / sim_us
-        );
-        dispatch.push(row);
-    }
-    worker.shutdown();
-    doc.set("backend_dispatch", dispatch);
-
-    // Event-log overhead: the observability tentpole appends ~(batch + 2)
-    // events per executed batch (one asked, one told, one per sample), so
+    // Event-log overhead: a campaign appends ~(batch + 2) events per
+    // executed batch (one asked, one told, one per sample), so
     // overhead_frac is the share of a batch's lab wall time spent logging.
     // --check gates this below 2%.
+    let batch = 4;
+    let batch_wall_us = time_sim_submit(if smoke { 4 } else { 16 }, batch);
     let appends = if smoke { 512usize } else { 4096 };
     let append_us = time_event_append(appends);
     let events_per_batch = batch + 2;
-    let overhead = append_us * events_per_batch as f64 / sim_b4_us;
+    let overhead = append_us * events_per_batch as f64 / batch_wall_us;
     let mut event_log = Value::map();
     event_log.set("appends", appends as i64);
     event_log.set("append_us_mean", append_us);
     event_log.set("events_per_batch", events_per_batch as i64);
-    event_log.set("batch_wall_us", sim_b4_us);
+    event_log.set("batch_wall_us", batch_wall_us);
     event_log.set("overhead_frac", overhead);
     eprintln!(
-        "event log: {append_us:.2}µs/append, {events_per_batch}/batch over {sim_b4_us:.0}µs \
+        "event log: {append_us:.2}µs/append, {events_per_batch}/batch over {batch_wall_us:.0}µs \
          ({:.3}% of batch wall)",
         100.0 * overhead
     );
     doc.set("event_log", event_log);
-
-    // Distributed-scheduler throughput: the same scenario matrix fanned
-    // over 1/2/4 loopback workers. On a single-core host the scaling is
-    // flat (everything shares one CPU) — the rows are still written so
-    // `--check` can gate their shape, and multi-core hosts show the curve.
-    let (sched_count, sched_budget) = if smoke { (4usize, 8u32) } else { (8, 32) };
-    let mut scheduler = Value::seq();
-    let mut base_sps = 0.0f64;
-    let mut base_fp = String::new();
-    for workers in [1usize, 2, 4] {
-        let handles: Vec<sdl_portal_server::ServerHandle> =
-            (0..workers).map(|_| loopback_worker()).collect();
-        let urls: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
-        let (report, sched) =
-            CampaignScheduler::new(urls).run(scheduler_scenarios(sched_count, sched_budget));
-        for h in handles {
-            h.shutdown();
-        }
-        let fp = report.fingerprint();
-        if workers == 1 {
-            base_sps = sched.samples_per_sec();
-            base_fp = fp.clone();
-        }
-        assert_eq!(base_fp, fp, "scheduler fingerprint drifted at {workers} workers");
-        let mut row = Value::map();
-        row.set("workers", workers as i64);
-        row.set("scenarios", sched_count as i64);
-        row.set("samples", sched.samples as i64);
-        row.set("wall_s", sched.wall.as_secs_f64());
-        row.set("samples_per_s", sched.samples_per_sec());
-        row.set("speedup_vs_1", sched.samples_per_sec() / base_sps);
-        row.set("steals", sched.total_steals() as i64);
-        eprintln!(
-            "scheduler w={workers}: {:.1} samples/s over {:.2}s ({:.2}x vs 1 worker)",
-            sched.samples_per_sec(),
-            sched.wall.as_secs_f64(),
-            sched.samples_per_sec() / base_sps
-        );
-        scheduler.push(row);
-    }
-    doc.set("scheduler", scheduler);
 
     // Overload admission: offered load at 1x/2x/4x a tiny live-connection
     // cap. Admission control must keep admitted throughput steady and
@@ -705,21 +330,6 @@ fn main() {
         overload.push(row);
     }
     doc.set("overload", overload);
-
-    let (c_before, c_after, samples) = time_campaign(budget, campaign_reps);
-    let mut campaign = Value::map();
-    campaign.set("samples", samples as i64);
-    campaign.set("batch", batch as i64);
-    campaign.set("before_s", c_before);
-    campaign.set("after_s", c_after);
-    campaign.set("before_samples_per_s", samples as f64 / c_before);
-    campaign.set("after_samples_per_s", samples as f64 / c_after);
-    campaign.set("speedup", c_before / c_after);
-    eprintln!(
-        "campaign ({samples} samples): {c_before:.2}s -> {c_after:.2}s ({:.2}x)",
-        c_before / c_after
-    );
-    doc.set("campaign", campaign);
 
     std::fs::write(&out_path, to_json_pretty(&doc) + "\n").expect("write bench output");
     println!("wrote {out_path}");

@@ -14,21 +14,12 @@
 //! `BENCH_hotpath.json`).
 
 use bytes::Bytes;
-use sdl_bench::{arg_or, mean, table};
+use sdl_bench::{arg_or, mean, percentile, table};
 use sdl_datapub::{AcdcPortal, BlobStore, ExperimentRecord, SampleRecord};
 use sdl_portal_server::client::HttpClient;
 use sdl_portal_server::{spawn, PortalServer, ServerConfig};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Latency percentile over an unsorted sample set, microseconds.
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
 
 fn seed_portal(records: usize) -> (Arc<AcdcPortal>, Arc<BlobStore>, String) {
     let portal = Arc::new(AcdcPortal::new());

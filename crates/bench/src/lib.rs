@@ -2,7 +2,8 @@
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper (see README.md for the experiment index); this library holds
-//! the ASCII plotting, CSV and comparison-table utilities they share.
+//! the ASCII plotting, CSV, comparison-table, statistics and flag-parsing
+//! utilities they share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -144,18 +145,39 @@ pub fn median(xs: &[f64]) -> f64 {
     }
 }
 
-/// Parse a `--flag value` style argument from the command line, with a
-/// default.
+/// Nearest-rank percentile (`p` in 0..=100) of an ascending slice; NaN
+/// when it is empty, as [`median`] is.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return f64::NAN;
+    }
+    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
+/// The value after the first `name` in `args`, parsed; `default` when
+/// `name` is absent. A missing or unparsable value is an error that names
+/// the flag.
+pub fn flag_value<T: std::str::FromStr>(
+    args: &[String],
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(default);
+    };
+    let value = args.get(i + 1).ok_or_else(|| format!("{name} needs a value"))?;
+    value.parse().map_err(|_| format!("{name}: cannot parse '{value}'"))
+}
+
+/// [`flag_value`] over the command line. On an error it prints the error
+/// and exits with status 1.
 pub fn arg_or<T: std::str::FromStr>(name: &str, default: T) -> T {
     let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == name {
-            if let Some(v) = args.get(i + 1).and_then(|v| v.parse().ok()) {
-                return v;
-            }
-        }
-    }
-    default
+    flag_value(&args, name, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    })
 }
 
 #[cfg(test)]
@@ -198,6 +220,26 @@ mod tests {
         assert!((median(&[4.0, 1.0, 2.0, 3.0]) - 2.5).abs() < 1e-12);
         assert!(stddev(&[2.0, 2.0, 2.0]) < 1e-12);
         assert!(mean(&[]).is_nan());
+        let sorted = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(percentile(&sorted, 0.0), 1.0);
+        assert_eq!(percentile(&sorted, 50.0), 3.0);
+        assert_eq!(percentile(&sorted, 99.0), 5.0);
+        assert!(percentile(&[], 50.0).is_nan());
+    }
+
+    #[test]
+    fn flag_values_parse_or_name_the_flag() {
+        let args = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        assert_eq!(flag_value(&args("table1 --samples 16"), "--samples", 128u32), Ok(16));
+        assert_eq!(flag_value(&args("table1"), "--samples", 128u32), Ok(128));
+        assert_eq!(
+            flag_value(&args("table1 --samples"), "--samples", 128u32),
+            Err("--samples needs a value".to_string())
+        );
+        assert_eq!(
+            flag_value(&args("table1 --samples abc"), "--samples", 128u32),
+            Err("--samples: cannot parse 'abc'".to_string())
+        );
     }
 
     #[test]

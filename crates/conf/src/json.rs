@@ -224,10 +224,14 @@ impl<'a> JsonParser<'a> {
                                 .src
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
+                            // Four hex digits, nothing else: `from_str_radix`
+                            // would also take a sign (`\u+041`).
+                            let code = hex
+                                .iter()
+                                .try_fold(0u32, |acc, &b| {
+                                    Some(acc << 4 | (b as char).to_digit(16)?)
+                                })
+                                .ok_or_else(|| self.err("invalid \\u escape"))?;
                             // Surrogate pairs are not needed for our records;
                             // map lone surrogates to the replacement char.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -399,6 +403,14 @@ mod tests {
     fn unicode_escape() {
         let v = from_json(r#""snow☃""#).unwrap();
         assert_eq!(v.as_str(), Some("snow☃"));
+    }
+
+    #[test]
+    fn unicode_escape_takes_exactly_four_hex_digits() {
+        assert_eq!(from_json(r#""\u0041\u00e9""#).unwrap().as_str(), Some("A\u{e9}"));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u00g1""#] {
+            assert!(from_json(bad).unwrap_err().msg.contains("invalid \\u escape"), "{bad}");
+        }
     }
 
     #[test]

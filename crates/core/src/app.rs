@@ -228,7 +228,7 @@ impl ColorPickerApp {
 
     /// Swap in a custom decision procedure before [`ColorPickerApp::run`]
     /// (the solver RNG stream is unchanged). Used by the equivalence tests
-    /// and the `hotpath` bench to pin a solver variant.
+    /// to pin a solver variant.
     pub fn replace_solver(&mut self, solver: Box<dyn ColorSolver>) {
         self.session.replace_solver(solver);
     }

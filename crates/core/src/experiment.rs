@@ -115,7 +115,7 @@ impl Experiment {
 
     /// Swap in a custom decision procedure before the first [`ask`]
     /// (the solver RNG stream is unchanged). Used by the equivalence tests
-    /// and the `hotpath` bench to pin a solver variant.
+    /// to pin a solver variant.
     ///
     /// [`ask`]: Experiment::ask
     pub fn replace_solver(&mut self, solver: Box<dyn ColorSolver>) {

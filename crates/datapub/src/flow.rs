@@ -156,12 +156,6 @@ fn run_flow(
     first_error.map_or(Ok(()), Err)
 }
 
-/// Synchronous single-job publication (used by tests and by deterministic
-/// runs that disable the background worker).
-pub fn publish_sync(job: FlowJob, portal: &AcdcPortal, store: &BlobStore) -> Result<(), String> {
-    run_flow(job, portal, store, &mut FlowStats::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,10 +193,11 @@ mod tests {
     fn image_ref_is_patched_into_record() {
         let portal = Arc::new(AcdcPortal::new());
         let store = Arc::new(BlobStore::in_memory());
-        publish_sync(
+        run_flow(
             FlowJob { records: vec![record(1)], image: Some(Bytes::from_static(b"img")) },
             &portal,
             &store,
+            &mut FlowStats::default(),
         )
         .unwrap();
         let recs = portal.find("sample", "1");

@@ -21,7 +21,7 @@ mod portal;
 mod record;
 mod store;
 
-pub use flow::{publish_sync, FlowJob, FlowStats, PublishFlow};
+pub use flow::{FlowJob, FlowStats, PublishFlow};
 pub use html::{base64, render_html, render_run_html, render_summary_html, url_encode};
 pub use portal::{field_matches, AcdcPortal};
 pub use record::{ExperimentRecord, SampleRecord};

@@ -111,9 +111,12 @@ pub fn percent_decode(s: &str) -> String {
     while i < bytes.len() {
         match bytes[i] {
             b'%' => {
-                let hex = bytes
-                    .get(i + 1..i + 3)
-                    .and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok());
+                // Exactly two hex digits; `from_str_radix` would also take
+                // a sign (`%+f`).
+                let hex = bytes.get(i + 1..i + 3).and_then(|h| {
+                    h.iter()
+                        .try_fold(0u8, |acc, &b| Some(acc << 4 | (b as char).to_digit(16)? as u8))
+                });
                 match hex {
                     Some(b) => {
                         out.push(b);
@@ -190,9 +193,11 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, ParseE
     // misread as the next request line.
     let mut body = Vec::new();
     let length = match headers.iter().find(|(k, _)| k == "content-length") {
-        Some((_, v)) => {
-            v.parse::<usize>().map_err(|_| ParseError::Malformed("bad content-length"))?
-        }
+        // Digits only: `parse` would also take a sign (`+5`).
+        Some((_, v)) => Some(v)
+            .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|v| v.parse::<usize>().ok())
+            .ok_or(ParseError::Malformed("bad content-length"))?,
         None => 0,
     };
     if length > 0 {
@@ -397,6 +402,7 @@ impl Read for DeadlineStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     fn parse(text: &str) -> Request {
@@ -421,6 +427,28 @@ mod tests {
         assert_eq!(r.path, "/blobs/blob:abc");
         assert_eq!(r.query_param("name"), Some("a b c"));
         assert_eq!(percent_decode("100%"), "100%");
+    }
+
+    #[test]
+    fn percent_escapes_take_exactly_two_hex_digits() {
+        assert_eq!(percent_decode("a%+fb"), "a% fb");
+        assert_eq!(percent_decode("a%-fb"), "a%-fb");
+        assert_eq!(percent_decode("%4a%4A%zz%4"), "JJ%zz%4");
+    }
+
+    #[test]
+    fn content_length_takes_digits_only() {
+        let body = |len: &str| {
+            let raw = format!("POST / HTTP/1.1\r\nContent-Length: {len}\r\n\r\nhello");
+            read_request(&mut BufReader::new(raw.as_bytes())).map(|r| r.unwrap().body)
+        };
+        assert_eq!(body("5").unwrap(), b"hello");
+        for bad in ["+5", "-5", "", "5a", "0x5"] {
+            assert!(
+                matches!(body(bad), Err(ParseError::Malformed("bad content-length"))),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]
@@ -460,5 +488,173 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Content-Length: 5\r\n"));
         assert!(text.ends_with("\r\n\r\n"));
+    }
+
+    /// Percent-encode every byte outside `[A-Za-z0-9/._~-]`, so decoding
+    /// must give back exactly `s`.
+    fn encode(s: &str) -> String {
+        s.bytes()
+            .map(|b| match b {
+                b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'/' | b'.' | b'_' | b'~' | b'-' => {
+                    char::from(b).to_string()
+                }
+                _ => format!("%{b:02X}"),
+            })
+            .collect()
+    }
+
+    /// The decoding rules one byte at a time: `%` and two hex digits is
+    /// that byte, `+` is a space, anything else is itself.
+    fn model_decode(s: &str) -> String {
+        fn hex(c: Option<&u8>) -> Option<u8> {
+            match *c? {
+                c @ b'0'..=b'9' => Some(c - b'0'),
+                c @ b'a'..=b'f' => Some(c - b'a' + 10),
+                c @ b'A'..=b'F' => Some(c - b'A' + 10),
+                _ => None,
+            }
+        }
+        let b = s.as_bytes();
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < b.len() {
+            match (b[i], hex(b.get(i + 1)), hex(b.get(i + 2))) {
+                (b'%', Some(hi), Some(lo)) => {
+                    out.push(hi * 16 + lo);
+                    i += 3;
+                }
+                (b'+', ..) => {
+                    out.push(b' ');
+                    i += 1;
+                }
+                (c, ..) => {
+                    out.push(c);
+                    i += 1;
+                }
+            }
+        }
+        String::from_utf8_lossy(&out).into_owned()
+    }
+
+    /// A reader that counts the bytes pulled through it.
+    struct Counting<R> {
+        inner: R,
+        read: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes, dense in the parser's delimiters and digits,
+        /// never panic it, with or without a valid head in front.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            head in prop_oneof![
+                Just(""),
+                Just("GET / HTTP/1.1\r\n"),
+                Just("POST /v1/batch HTTP/1.1\r\nContent-Length: "),
+            ],
+            bytes in proptest::collection::vec(
+                prop_oneof![
+                    Just(b'\r'),
+                    Just(b'\n'),
+                    Just(b':'),
+                    Just(b'%'),
+                    b'0'..=b'9',
+                    any::<u8>(),
+                ],
+                0..512,
+            ),
+        ) {
+            let mut input = head.as_bytes().to_vec();
+            input.extend_from_slice(&bytes);
+            let mut reader = BufReader::new(&input[..]);
+            while let Ok(Some(_)) = read_request(&mut reader) {}
+        }
+
+        /// A request built from arbitrary fields parses back to those
+        /// fields, and the bytes after its body stay unread for the next
+        /// request.
+        #[test]
+        fn built_requests_parse_back(
+            method in "[A-Za-z]{1,7}",
+            path in any::<String>(),
+            query in proptest::collection::vec((any::<String>(), any::<String>()), 0..4),
+            headers in proptest::collection::vec(("[A-Za-z0-9-]{1,12}", "[ -~é☃]{0,24}"), 0..8),
+            body in proptest::collection::vec(any::<u8>(), 0..256),
+            next in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut target = format!("/{}", encode(&path));
+            if !query.is_empty() {
+                let pairs: Vec<String> =
+                    query.iter().map(|(k, v)| format!("{}={}", encode(k), encode(v))).collect();
+                target = format!("{target}?{}", pairs.join("&"));
+            }
+            let mut raw = format!("{method} {target} HTTP/1.1\r\n");
+            for (name, value) in &headers {
+                raw.push_str(&format!("X-{name}: {value}\r\n"));
+            }
+            raw.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+            let mut raw = raw.into_bytes();
+            raw.extend_from_slice(&body);
+            raw.extend_from_slice(&next);
+
+            let mut reader = BufReader::new(&raw[..]);
+            let req = read_request(&mut reader).unwrap().unwrap();
+            prop_assert_eq!(req.method, method.to_ascii_uppercase());
+            prop_assert_eq!(req.path, format!("/{path}"));
+            prop_assert_eq!(req.query, query);
+            let mut want: Vec<(String, String)> = headers
+                .iter()
+                .map(|(n, v)| (format!("x-{}", n.to_ascii_lowercase()), v.trim().to_string()))
+                .collect();
+            want.push(("content-length".to_string(), body.len().to_string()));
+            prop_assert_eq!(req.headers, want);
+            prop_assert_eq!(req.body, body);
+            let mut rest = Vec::new();
+            reader.read_to_end(&mut rest).unwrap();
+            prop_assert_eq!(rest, next);
+        }
+
+        /// `percent_decode` agrees with the model on strings dense in `%`,
+        /// signs and hex digits, `%+f` among them.
+        #[test]
+        fn percent_decode_matches_the_model(
+            parts in proptest::collection::vec(
+                prop_oneof!["%", "[+]", "-", "[0-9a-fA-F]", "[g-z ]", "[é☃]"],
+                0..24,
+            ),
+        ) {
+            let s = parts.concat();
+            prop_assert_eq!(percent_decode(&s), model_decode(&s), "{:?}", s);
+        }
+
+        /// A header line with no newline is refused as `TooLarge` after
+        /// reading at most `MAX_LINE` plus one buffer fill.
+        #[test]
+        fn endless_header_line_is_too_large(
+            capacity in 1usize..4096,
+            headers in 0usize..4,
+            byte in any::<u8>(),
+        ) {
+            let byte = if byte == b'\n' { b'x' } else { byte };
+            let mut head = "GET / HTTP/1.1\r\n".to_string();
+            for i in 0..headers {
+                head.push_str(&format!("X-{i}: v\r\n"));
+            }
+            let source = Counting { inner: head.as_bytes().chain(io::repeat(byte)), read: 0 };
+            let mut reader = BufReader::with_capacity(capacity, source);
+            prop_assert!(matches!(read_request(&mut reader), Err(ParseError::TooLarge)));
+            let read = reader.get_ref().read;
+            prop_assert!(read <= head.len() + MAX_LINE + capacity, "read {} bytes", read);
+        }
     }
 }

@@ -15,8 +15,7 @@
 //!   hot path;
 //! * the **from-scratch** baseline refits via [`Gp::fit_auto`] every call
 //!   and scores candidates one `Vec` at a time — the pre-optimization code,
-//!   kept because the equivalence tests and the `hotpath` bench compare
-//!   the two.
+//!   kept because the equivalence tests compare the two.
 //!
 //! Both paths consume the RNG identically and produce bit-identical
 //! proposals; the determinism suite enforces this.

@@ -3,14 +3,10 @@
 //! This is the `Gp` implementation as it stood before the incremental
 //! hot-path rework: dense kernel matrix via [`Matrix::from_fn`] (all n²
 //! kernel evaluations), `Vec<Vec<f64>>` input storage, O(n³) refit per
-//! call, and allocating per-candidate prediction. It is kept runnable for
-//! two reasons:
-//!
-//! * the `hotpath` bench measures the *before* side of the perf trajectory
-//!   against the genuine old work profile, not an approximation;
-//! * the equivalence suite proves the optimized [`crate::Gp`] path is
-//!   bit-identical to this one (same proposals, same campaign
-//!   fingerprints).
+//! call, and allocating per-candidate prediction. It is kept runnable
+//! because the equivalence suite proves the optimized [`crate::Gp`] path
+//! is bit-identical to this one (same proposals, same campaign
+//! fingerprints).
 //!
 //! Do not "improve" this module — its value is being frozen.
 

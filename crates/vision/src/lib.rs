@@ -44,7 +44,7 @@ pub use layout::{CameraGeometry, Fidelity, MarkerLayout, PlateLayout};
 pub use pipeline::{
     Detector, DetectorParams, DetectorScratch, PlateReading, VisionError, WellReading,
 };
-pub use reference::{render_reference, render_reference_into};
+pub use reference::render_reference;
 pub use render::{
     render, render_into, render_tiled, Lighting, PlateScene, Pose, PLATE_BODY_REFLECTANCE,
 };

@@ -5,9 +5,10 @@
 //! optimization PR): one RNG stream drawn pixel by pixel, per-pixel
 //! Box–Muller with the sine variate discarded, a per-pixel
 //! `linear_to_srgb` and `round`, and per-pixel rectangle re-testing in
-//! `material_at`. It is the `Fidelity::Full` render path, the "before"
-//! arm of the `hotpath` bench, and the behavior the pre-refactor golden
-//! campaign fingerprints pin — do not optimize it.
+//! `material_at`. It is the `Fidelity::Full` render path, the baseline
+//! the render accuracy gate compares the fast path against, and the
+//! behavior the pre-refactor golden campaign fingerprints pin — do not
+//! optimize it.
 
 use crate::aruco::cell_is_white;
 use crate::image::ImageRgb8;
@@ -42,7 +43,7 @@ pub fn render_reference(scene: &PlateScene, rng: &mut impl Rng) -> ImageRgb8 {
 /// [`render_reference`] into an existing frame buffer (resized as needed).
 /// Every pixel is overwritten and the RNG is consumed identically, so the
 /// frame is bit-identical to a freshly allocated render.
-pub fn render_reference_into(scene: &PlateScene, rng: &mut impl Rng, img: &mut ImageRgb8) {
+pub(crate) fn render_reference_into(scene: &PlateScene, rng: &mut impl Rng, img: &mut ImageRgb8) {
     let cam = &scene.camera;
     let w = cam.width_px;
     let h = cam.height_px;
