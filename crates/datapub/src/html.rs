@@ -45,14 +45,7 @@ fn page_head(title: &str) -> String {
 
 /// Experiment metadata paragraph (name/date/solver/batch + target swatch).
 fn meta_block(portal: &AcdcPortal, experiment_id: &str) -> String {
-    let meta = portal
-        .search(|r| {
-            r.opt_str("kind") == Some("experiment")
-                && r.opt_str("experiment_id") == Some(experiment_id)
-        })
-        .into_iter()
-        .next();
-    let Some(m) = meta else { return String::new() };
+    let Some(m) = portal.experiment(experiment_id) else { return String::new() };
     let mut html = String::new();
     let _ = write!(
         html,

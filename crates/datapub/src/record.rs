@@ -92,8 +92,8 @@ impl SampleRecord {
         };
         Some(SampleRecord {
             experiment_id: v.opt_str("experiment_id")?.to_string(),
-            run: v.opt_i64("run")? as u32,
-            sample: v.opt_i64("sample")? as u32,
+            run: u32::try_from(v.opt_i64("run")?).ok()?,
+            sample: u32::try_from(v.opt_i64("sample")?).ok()?,
             well: v.opt_str("well")?.to_string(),
             ratios: floats("ratios")?,
             volumes_ul: floats("volumes_ul")?,
@@ -204,5 +204,19 @@ mod tests {
         let mut v = sample().to_value();
         v.set("score", "not a number");
         assert!(SampleRecord::from_value(&v).is_none());
+    }
+
+    #[test]
+    fn out_of_range_run_and_sample_are_not_samples() {
+        let mut v = sample().to_value();
+        v.set("run", 4_294_967_297i64);
+        assert!(SampleRecord::from_value(&v).is_none(), "run 2^32 + 1 wrapped to 1");
+        let mut v = sample().to_value();
+        v.set("sample", -1i64);
+        assert!(SampleRecord::from_value(&v).is_none(), "sample -1 wrapped to 2^32 - 1");
+        let mut v = sample().to_value();
+        v.set("run", u32::MAX as i64);
+        v.set("sample", 0i64);
+        assert_eq!(SampleRecord::from_value(&v).map(|s| (s.run, s.sample)), Some((u32::MAX, 0)));
     }
 }

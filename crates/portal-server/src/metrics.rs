@@ -1,5 +1,6 @@
-//! Server-side observability: request counters and a latency histogram,
-//! rendered in the Prometheus text exposition format at `GET /metrics`.
+//! Server-side observability: request counters and latency histograms
+//! (all requests, and one per route), rendered in the Prometheus text
+//! exposition format at `GET /metrics`.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,6 +24,8 @@ pub struct ServerMetrics {
     latency_buckets: [AtomicU64; BUCKETS.len() + 1],
     latency_count: AtomicU64,
     latency_sum_us: AtomicU64,
+    route_buckets: [[AtomicU64; BUCKETS.len() + 1]; ROUTES.len()],
+    route_sum_us: [AtomicU64; ROUTES.len()],
     connections: AtomicU64,
     conns_active: AtomicU64,
     conn_sheds: AtomicU64,
@@ -84,10 +87,13 @@ impl ServerMetrics {
         self.by_class[class].fetch_add(1, Ordering::Relaxed);
 
         let secs = latency.as_secs_f64();
+        let micros = latency.as_micros() as u64;
         let bucket = BUCKETS.iter().position(|&ub| secs <= ub).unwrap_or(BUCKETS.len());
         self.latency_buckets[bucket].fetch_add(1, Ordering::Relaxed);
         self.latency_count.fetch_add(1, Ordering::Relaxed);
-        self.latency_sum_us.fetch_add(latency.as_micros() as u64, Ordering::Relaxed);
+        self.latency_sum_us.fetch_add(micros, Ordering::Relaxed);
+        self.route_buckets[route_idx][bucket].fetch_add(1, Ordering::Relaxed);
+        self.route_sum_us[route_idx].fetch_add(micros, Ordering::Relaxed);
         self.bytes_sent.fetch_add(body_bytes as u64, Ordering::Relaxed);
     }
 
@@ -147,6 +153,34 @@ impl ServerMetrics {
             "{p}_request_seconds_count {}",
             self.latency_count.load(Ordering::Relaxed)
         );
+
+        // Per route, so `/events` long-polls stay out of the `/records`
+        // quantiles. Each `_count` is its route's `+Inf` bucket.
+        let _ =
+            writeln!(out, "# HELP {p}_route_request_seconds Request latency histogram, by route.");
+        let _ = writeln!(out, "# TYPE {p}_route_request_seconds histogram");
+        for (i, route) in ROUTES.iter().enumerate() {
+            let mut cumulative = 0u64;
+            for (j, ub) in BUCKETS.iter().enumerate() {
+                cumulative += self.route_buckets[i][j].load(Ordering::Relaxed);
+                let _ = writeln!(
+                    out,
+                    "{p}_route_request_seconds_bucket{{route=\"{route}\",le=\"{ub}\"}} {cumulative}"
+                );
+            }
+            cumulative += self.route_buckets[i][BUCKETS.len()].load(Ordering::Relaxed);
+            let _ = writeln!(
+                out,
+                "{p}_route_request_seconds_bucket{{route=\"{route}\",le=\"+Inf\"}} {cumulative}"
+            );
+            let _ = writeln!(
+                out,
+                "{p}_route_request_seconds_sum{{route=\"{route}\"}} {}",
+                self.route_sum_us[i].load(Ordering::Relaxed) as f64 / 1e6
+            );
+            let _ =
+                writeln!(out, "{p}_route_request_seconds_count{{route=\"{route}\"}} {cumulative}");
+        }
 
         let _ = writeln!(out, "# HELP {p}_connections_total Connections accepted.");
         let _ = writeln!(out, "# TYPE {p}_connections_total counter");
@@ -215,6 +249,12 @@ mod tests {
         assert!(text.contains("sdl_portal_responses_total{class=\"4xx\"} 1"));
         assert!(text.contains("sdl_portal_request_seconds_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("sdl_portal_request_seconds_count 3"));
+        assert!(text.contains(
+            "sdl_portal_route_request_seconds_bucket{route=\"/records\",le=\"0.0005\"} 1"
+        ));
+        assert!(text.contains("sdl_portal_route_request_seconds_count{route=\"/records\"} 2"));
+        assert!(text.contains("sdl_portal_route_request_seconds_count{route=\"other\"} 1"));
+        assert!(text.contains("sdl_portal_route_request_seconds_sum{route=\"other\"} 2\n"));
         assert!(text.contains("sdl_portal_records 7"));
         assert!(text.contains("sdl_portal_blobs 2"));
         assert_eq!(m.requests_total(), 3);

@@ -6,9 +6,7 @@ use crate::metrics::ServerMetrics;
 use crate::pool::ThreadPool;
 use sdl_conf::{to_json, Value};
 use sdl_core::{EventLog, EventRecord, ProgressModel};
-use sdl_datapub::{
-    field_matches, render_run_html, render_summary_html, AcdcPortal, BlobRef, BlobStore,
-};
+use sdl_datapub::{render_run_html, render_summary_html, AcdcPortal, BlobRef, BlobStore};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -271,16 +269,7 @@ impl PortalServer {
                 _ => filters.push((key, value)),
             }
         }
-        let (page, total) = self.portal.search_page(
-            |r| filters.iter().all(|(path, value)| field_matches(r, path, value)),
-            offset,
-            limit,
-        );
-        let mut body = String::new();
-        for r in &page {
-            body.push_str(&to_json(r));
-            body.push('\n');
-        }
+        let (body, total) = self.portal.records_page(&filters, offset, limit);
         Response::new(200, "application/x-ndjson", body)
             .with_header("X-Total-Count", total)
             .with_header("X-Offset", offset)

@@ -163,6 +163,176 @@ fn all_endpoints_answer_over_real_sockets() {
     handle.shutdown();
 }
 
+/// One parsed sample line of a Prometheus text exposition.
+struct Sample {
+    name: String,
+    labels: Vec<(String, String)>,
+    value: f64,
+}
+
+impl Sample {
+    fn label(&self, key: &str) -> Option<&str> {
+        self.labels.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+    }
+
+    /// The labels other than `le`: one histogram series.
+    fn series(&self) -> Vec<(String, String)> {
+        self.labels.iter().filter(|(k, _)| k != "le").cloned().collect()
+    }
+}
+
+/// Parse `name{k="v",...} value` (label values may hold `\"` and `\\`).
+fn parse_sample(line: &str) -> Result<Sample, String> {
+    let name_end = line.find(['{', ' ']).ok_or("no value")?;
+    let name = &line[..name_end];
+    let valid_name = name.chars().enumerate().all(|(i, c)| {
+        c == '_' || c == ':' || c.is_ascii_alphabetic() || (i > 0 && c.is_ascii_digit())
+    });
+    if name.is_empty() || !valid_name {
+        return Err(format!("bad metric name '{name}'"));
+    }
+    let mut labels = Vec::new();
+    let mut rest = &line[name_end..];
+    if let Some(body) = rest.strip_prefix('{') {
+        let mut chars = body.char_indices();
+        let mut key = String::new();
+        loop {
+            match chars.next().ok_or("unterminated labels")? {
+                (i, '}') if key.is_empty() => {
+                    rest = &body[i + 1..];
+                    break;
+                }
+                (_, '=') => {
+                    if chars.next().map(|(_, c)| c) != Some('"') {
+                        return Err("label value is not quoted".into());
+                    }
+                    let mut value = String::new();
+                    loop {
+                        match chars.next().ok_or("unterminated label value")?.1 {
+                            '"' => break,
+                            '\\' => value.push(chars.next().ok_or("dangling escape")?.1),
+                            c => value.push(c),
+                        }
+                    }
+                    labels.push((std::mem::take(&mut key), value));
+                    match chars.next().ok_or("unterminated labels")? {
+                        (_, ',') => {}
+                        (i, '}') => {
+                            rest = &body[i + 1..];
+                            break;
+                        }
+                        (_, c) => return Err(format!("unexpected '{c}' after a label")),
+                    }
+                }
+                (_, c) if c.is_ascii_alphanumeric() || c == '_' => key.push(c),
+                (_, c) => return Err(format!("unexpected '{c}' in a label name")),
+            }
+        }
+    }
+    let value = rest.strip_prefix(' ').ok_or("no space before the value")?;
+    let value = value.parse::<f64>().map_err(|e| format!("value '{value}': {e}"))?;
+    Ok(Sample { name: name.to_string(), labels, value })
+}
+
+#[test]
+fn metrics_exposition_parses_and_histograms_agree() {
+    let (portal, store, blob) = seeded();
+    let events = Arc::new(sdl_core::EventLog::in_memory());
+    let server = PortalServer::new(portal, store)
+        .with_lab(Arc::new(sdl_portal_server::LabHost::new()))
+        .with_events(events);
+    let handle = spawn(
+        server,
+        &ServerConfig { addr: "127.0.0.1:0".into(), threads: 2, ..ServerConfig::default() },
+    )
+    .unwrap();
+    let mut c = HttpClient::connect(handle.addr()).unwrap();
+    let routes = [
+        "/",
+        "/healthz",
+        "/records?kind=sample&limit=3",
+        "/events",
+        "/summary",
+        "/runs/3",
+        &format!("/blobs/{blob}"),
+        "/metrics",
+        "/v1/sessions",
+        "/nope",
+    ];
+    for path in routes {
+        c.get(path).unwrap();
+    }
+    let text = c.get("/metrics").unwrap().text();
+
+    let mut types: std::collections::HashMap<String, String> = Default::default();
+    let mut samples = Vec::new();
+    for line in text.lines() {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let (family, kind) = decl.split_once(' ').expect("TYPE names a family and a kind");
+            types.insert(family.to_string(), kind.to_string());
+            continue;
+        }
+        if line.starts_with('#') {
+            continue;
+        }
+        let sample = parse_sample(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        let typed = types.contains_key(&sample.name)
+            || ["_bucket", "_sum", "_count"].iter().any(|suffix| {
+                sample.name.strip_suffix(suffix).and_then(|f| types.get(f)).map(String::as_str)
+                    == Some("histogram")
+            });
+        assert!(typed, "no # TYPE line before {line}");
+        samples.push(sample);
+    }
+
+    let histograms: Vec<&String> =
+        types.iter().filter(|(_, kind)| *kind == "histogram").map(|(f, _)| f).collect();
+    assert!(histograms.len() >= 2, "{text}");
+    for family in histograms {
+        let count_name = format!("{family}_count");
+        let bucket_name = format!("{family}_bucket");
+        let counts: Vec<&Sample> = samples.iter().filter(|s| s.name == count_name).collect();
+        assert!(!counts.is_empty(), "{family} has no _count");
+        for count in counts {
+            let buckets: Vec<&Sample> = samples
+                .iter()
+                .filter(|s| s.name == bucket_name && s.series() == count.labels)
+                .collect();
+            let les: Vec<f64> =
+                buckets.iter().map(|b| b.label("le").unwrap().parse::<f64>().unwrap()).collect();
+            assert!(les.windows(2).all(|w| w[0] < w[1]), "{family} le out of order: {les:?}");
+            assert!(
+                buckets.windows(2).all(|w| w[0].value <= w[1].value),
+                "{family} {:?} buckets decrease",
+                count.labels
+            );
+            let last = buckets.last().expect("a histogram series has buckets");
+            assert_eq!(last.label("le"), Some("+Inf"));
+            assert_eq!(last.value, count.value, "{family} {:?}: +Inf != _count", count.labels);
+            let sums = samples.iter().filter(|s| s.name == format!("{family}_sum"));
+            assert_eq!(sums.filter(|s| s.labels == count.labels).count(), 1);
+        }
+    }
+
+    let value = |name: &str, route: Option<&str>| -> f64 {
+        let found = samples.iter().find(|s| s.name == name && s.label("route") == route);
+        found.unwrap_or_else(|| panic!("no {name} {route:?}")).value
+    };
+    let per_route: Vec<&Sample> =
+        samples.iter().filter(|s| s.name == "sdl_portal_route_request_seconds_count").collect();
+    assert_eq!(per_route.len(), 10);
+    for s in &per_route {
+        let route = s.label("route").unwrap();
+        assert_eq!(s.value, 1.0, "route {route} served once");
+        assert_eq!(s.value, value("sdl_portal_requests_total", Some(route)));
+    }
+    let all = value("sdl_portal_request_seconds_count", None);
+    assert_eq!(per_route.iter().map(|s| s.value).sum::<f64>(), all);
+    assert_eq!(all, routes.len() as f64);
+    drop(c);
+    handle.shutdown();
+}
+
 #[test]
 fn eight_concurrent_clients_get_correct_bodies() {
     let (handle, blob) = live_server();
