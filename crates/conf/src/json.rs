@@ -4,7 +4,7 @@
 //! the portal reads them back for search and rendering.
 
 use crate::error::ParseError;
-use crate::value::Value;
+use crate::value::{MapEntries, Value, MAX_DEPTH};
 
 /// Serialize compactly (single line).
 pub fn to_json(v: &Value) -> String {
@@ -102,7 +102,7 @@ fn write_json_string(s: &str, out: &mut String) {
 pub fn from_json(src: &str) -> Result<Value, ParseError> {
     let mut p = JsonParser { src: src.as_bytes(), pos: 0, line: 1 };
     p.skip_ws();
-    let v = p.parse_value()?;
+    let v = p.parse_value(0)?;
     p.skip_ws();
     if p.pos != p.src.len() {
         return Err(ParseError { line: p.line, msg: "trailing characters after document".into() });
@@ -143,11 +143,16 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, ParseError> {
+    /// Parse the value at `pos`, which sits inside `depth` open arrays and
+    /// objects.
+    fn parse_value(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.skip_ws();
         match self.src.get(self.pos) {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => self.parse_object(depth + 1),
+            Some(b'[') => self.parse_array(depth + 1),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
@@ -266,7 +271,7 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn parse_array(&mut self) -> Result<Value, ParseError> {
+    fn parse_array(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -275,7 +280,7 @@ impl<'a> JsonParser<'a> {
             return Ok(Value::Seq(items));
         }
         loop {
-            items.push(self.parse_value()?);
+            items.push(self.parse_value(depth)?);
             self.skip_ws();
             match self.src.get(self.pos) {
                 Some(b',') => {
@@ -290,24 +295,24 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn parse_object(&mut self) -> Result<Value, ParseError> {
+    fn parse_object(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.expect(b'{')?;
-        let mut entries: Vec<(String, Value)> = Vec::new();
+        let mut entries = MapEntries::new();
         self.skip_ws();
         if self.src.get(self.pos) == Some(&b'}') {
             self.pos += 1;
-            return Ok(Value::Map(entries));
+            return Ok(entries.into_value());
         }
         loop {
             self.skip_ws();
             let key = self.parse_string()?;
             self.skip_ws();
             self.expect(b':')?;
-            let value = self.parse_value()?;
-            if entries.iter().any(|(k, _)| *k == key) {
+            let value = self.parse_value(depth)?;
+            if entries.contains(&key) {
                 return Err(self.err(format!("duplicate key '{key}'")));
             }
-            entries.push((key, value));
+            entries.push(key, value);
             self.skip_ws();
             match self.src.get(self.pos) {
                 Some(b',') => {
@@ -315,7 +320,7 @@ impl<'a> JsonParser<'a> {
                 }
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Map(entries));
+                    return Ok(entries.into_value());
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
@@ -421,6 +426,37 @@ mod tests {
         assert!(from_json("[1] extra").unwrap_err().msg.contains("trailing"));
         let err = from_json("{\n\"a\": @\n}").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn nesting_is_refused_one_level_past_the_limit() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(from_json(&nested(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(from_json(&nested(MAX_DEPTH, "{\"a\":", "}")).is_ok());
+        for deep in [nested(MAX_DEPTH + 1, "[", "]"), nested(MAX_DEPTH + 1, "{\"a\":", "}")] {
+            let err = from_json(&deep).unwrap_err();
+            assert_eq!((err.line, err.msg.as_str()), (1, "nesting deeper than 128 levels"));
+        }
+        // Depth is nesting, not count: many shallow siblings are fine, and
+        // the line is where the limit is crossed.
+        assert!(from_json(&format!("[{}]", vec!["[[1]]"; 5_000].join(","))).is_ok());
+        let err = from_json(&format!("{}\n{}", "[".repeat(100), "[".repeat(200_000))).unwrap_err();
+        assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn duplicate_keys_are_found_in_maps_of_any_size() {
+        for n in [2, 15, 16, 17, 1_000] {
+            let body: Vec<String> = (0..n).map(|i| format!("\"k{i}\": {i}")).collect();
+            let ok = format!("{{\n{}\n}}", body.join(",\n"));
+            assert_eq!(from_json(&ok).unwrap().as_map().map(<[_]>::len), Some(n));
+            let dup = format!("{{\n{},\n\"k{}\": 0\n}}", body.join(",\n"), n / 2);
+            let err = from_json(&dup).unwrap_err();
+            assert_eq!(err.msg, format!("duplicate key 'k{}'", n / 2));
+            assert_eq!(err.line, n + 2, "line of the repeated key");
+        }
     }
 
     #[test]

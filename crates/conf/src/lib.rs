@@ -33,5 +33,5 @@ mod yaml;
 pub use error::{AccessError, ParseError};
 pub use json::{from_json, to_json, to_json_pretty};
 pub use path::{lookup, ValueExt};
-pub use value::Value;
+pub use value::{Value, MAX_DEPTH};
 pub use yaml::{from_yaml, to_yaml};

@@ -3,7 +3,63 @@
 //! Maps preserve insertion order so that rendered configs and published
 //! records are deterministic (the portal and the tests depend on this).
 
+use std::collections::HashSet;
 use std::fmt;
+
+/// The deepest nesting of sequences and maps the parsers accept. A deeper
+/// document is refused with a [`ParseError`](crate::ParseError) at its line
+/// instead of recursing until the stack overflows. The deepest document
+/// this workspace writes nests 5 levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// The entries of a map being parsed, with a linear-time check for repeated
+/// keys. Small maps, the common case, compare keys directly; a map that
+/// reaches [`MapEntries::INDEXED_FROM`] entries also keeps its keys in a
+/// hash set.
+pub(crate) struct MapEntries {
+    entries: Vec<(String, Value)>,
+    index: Option<HashSet<String>>,
+}
+
+impl MapEntries {
+    const INDEXED_FROM: usize = 16;
+
+    pub(crate) fn new() -> MapEntries {
+        MapEntries { entries: Vec::new(), index: None }
+    }
+
+    /// Is `key` already an entry?
+    #[inline]
+    pub(crate) fn contains(&self, key: &str) -> bool {
+        match &self.index {
+            Some(index) => index.contains(key),
+            None => self.entries.iter().any(|(k, _)| k == key),
+        }
+    }
+
+    /// Append an entry whose key [`MapEntries::contains`] has refused.
+    #[inline]
+    pub(crate) fn push(&mut self, key: String, value: Value) {
+        if self.index.is_some() || self.entries.len() + 1 == Self::INDEXED_FROM {
+            self.index_key(&key);
+        }
+        self.entries.push((key, value));
+    }
+
+    /// Add `key` to the index, building the index from every key so far
+    /// when this is the entry that reaches [`MapEntries::INDEXED_FROM`].
+    #[cold]
+    fn index_key(&mut self, key: &str) {
+        let entries = &self.entries;
+        let index =
+            self.index.get_or_insert_with(|| entries.iter().map(|(k, _)| k.clone()).collect());
+        index.insert(key.to_string());
+    }
+
+    pub(crate) fn into_value(self) -> Value {
+        Value::Map(self.entries)
+    }
+}
 
 /// A dynamically-typed configuration value.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,6 +256,18 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn map_entries_find_repeats_below_and_above_the_index_threshold() {
+        let mut map = MapEntries::new();
+        for i in 0..40 {
+            let key = format!("k{i}");
+            assert!(!map.contains(&key), "{key} reported before it was added");
+            map.push(key, Value::Int(i));
+            assert!((0..=i).all(|j| map.contains(&format!("k{j}"))), "lost a key at {i}");
+        }
+        assert_eq!(map.into_value().as_map().map(<[_]>::len), Some(40));
+    }
 
     #[test]
     fn builder_pattern_constructs_trees() {

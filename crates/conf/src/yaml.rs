@@ -21,7 +21,7 @@
 //! (`|`/`>`), and complex (non-string) keys.
 
 use crate::error::ParseError;
-use crate::value::Value;
+use crate::value::{MapEntries, Value, MAX_DEPTH};
 
 /// Parse a YAML document into a [`Value`].
 pub fn from_yaml(src: &str) -> Result<Value, ParseError> {
@@ -35,11 +35,11 @@ pub fn from_yaml(src: &str) -> Result<Value, ParseError> {
         let l = &lines[0];
         let is_seq = l.text == "-" || l.text.starts_with("- ");
         if !is_seq && !is_map_entry(&l.text) {
-            return parse_scalar(&l.text, l.no);
+            return parse_scalar(&l.text, l.no, 0);
         }
     }
     let mut p = Parser { lines, pos: 0 };
-    let v = p.parse_block(p.lines[0].indent)?;
+    let v = p.parse_block(p.lines[0].indent, 0)?;
     if p.pos < p.lines.len() {
         let l = &p.lines[p.pos];
         return Err(ParseError::new(
@@ -130,18 +130,29 @@ struct Parser {
     pos: usize,
 }
 
+/// The error for a collection opened inside [`MAX_DEPTH`] open ones.
+fn too_deep(no: usize) -> ParseError {
+    ParseError::new(no, format!("nesting deeper than {MAX_DEPTH} levels"))
+}
+
 impl Parser {
-    /// Parse the block starting at `self.pos`, whose items sit at `indent`.
-    fn parse_block(&mut self, indent: usize) -> Result<Value, ParseError> {
+    /// Parse the block starting at `self.pos`, whose items sit at `indent`,
+    /// inside `depth` open collections.
+    fn parse_block(&mut self, indent: usize, depth: usize) -> Result<Value, ParseError> {
         let line = &self.lines[self.pos];
+        if depth == MAX_DEPTH {
+            return Err(too_deep(line.no));
+        }
         if line.text == "-" || line.text.starts_with("- ") {
-            self.parse_seq(indent)
+            self.parse_seq(indent, depth + 1)
         } else {
-            self.parse_map(indent)
+            self.parse_map(indent, depth + 1)
         }
     }
 
-    fn parse_seq(&mut self, indent: usize) -> Result<Value, ParseError> {
+    /// Parse a block sequence whose items sit inside `depth` open
+    /// collections (the sequence included).
+    fn parse_seq(&mut self, indent: usize, depth: usize) -> Result<Value, ParseError> {
         let mut items = Vec::new();
         while self.pos < self.lines.len() {
             let line = &self.lines[self.pos];
@@ -165,15 +176,21 @@ impl Parser {
                 // Item is a nested block (or null if nothing deeper).
                 if self.pos < self.lines.len() && self.lines[self.pos].indent > indent {
                     let child_indent = self.lines[self.pos].indent;
-                    items.push(self.parse_block(child_indent)?);
+                    items.push(self.parse_block(child_indent, depth)?);
                 } else {
                     items.push(Value::Null);
                 }
             } else if is_map_entry(&rest) {
-                // Inline map start after the dash: re-inject the remainder as
-                // a virtual line at the item's child indent.
+                if depth == MAX_DEPTH {
+                    return Err(too_deep(no));
+                }
+                // Inline map start after the dash: the remainder replaces the
+                // consumed dash line as a virtual line at the item's child
+                // indent (in place: inserting would make long sequences of
+                // maps quadratic).
                 let child_indent = indent + 2;
-                self.lines.insert(self.pos, Line { indent: child_indent, text: rest, no });
+                self.pos -= 1;
+                self.lines[self.pos] = Line { indent: child_indent, text: rest, no };
                 // Following lines of this item may be indented deeper than
                 // `indent` but not exactly at child_indent (e.g. dash at 0,
                 // item body at 1 space deeper); normalize only exact-depth
@@ -181,16 +198,18 @@ impl Parser {
                 // first line's indent. Lines between indent+1 .. child_indent
                 // would be ambiguous; YAML proper allows them, our subset
                 // requires item bodies at `indent + 2`.
-                items.push(self.parse_map(child_indent)?);
+                items.push(self.parse_map(child_indent, depth + 1)?);
             } else {
-                items.push(parse_scalar(&rest, no)?);
+                items.push(parse_scalar(&rest, no, depth)?);
             }
         }
         Ok(Value::Seq(items))
     }
 
-    fn parse_map(&mut self, indent: usize) -> Result<Value, ParseError> {
-        let mut entries: Vec<(String, Value)> = Vec::new();
+    /// Parse a block map whose values sit inside `depth` open collections
+    /// (the map included).
+    fn parse_map(&mut self, indent: usize, depth: usize) -> Result<Value, ParseError> {
+        let mut entries = MapEntries::new();
         while self.pos < self.lines.len() {
             let line = &self.lines[self.pos];
             if line.indent != indent {
@@ -210,23 +229,23 @@ impl Parser {
             let (key, rest) = split_map_entry(&text).ok_or_else(|| {
                 ParseError::new(no, format!("expected 'key: value', got '{text}'"))
             })?;
-            if entries.iter().any(|(k, _)| *k == key) {
+            if entries.contains(&key) {
                 return Err(ParseError::new(no, format!("duplicate key '{key}'")));
             }
             self.pos += 1;
             let value = if rest.is_empty() {
                 if self.pos < self.lines.len() && self.lines[self.pos].indent > indent {
                     let child_indent = self.lines[self.pos].indent;
-                    self.parse_block(child_indent)?
+                    self.parse_block(child_indent, depth)?
                 } else {
                     Value::Null
                 }
             } else {
-                parse_scalar(rest, no)?
+                parse_scalar(rest, no, depth)?
             };
-            entries.push((key, value));
+            entries.push(key, value);
         }
-        Ok(Value::Map(entries))
+        Ok(entries.into_value())
     }
 }
 
@@ -304,8 +323,9 @@ fn split_map_entry(s: &str) -> Option<(String, &str)> {
     None
 }
 
-/// Parse a scalar or a one-line flow collection.
-fn parse_scalar(s: &str, no: usize) -> Result<Value, ParseError> {
+/// Parse a scalar or a one-line flow collection, inside `depth` open
+/// collections.
+fn parse_scalar(s: &str, no: usize, depth: usize) -> Result<Value, ParseError> {
     let s = s.trim();
     if s.is_empty() {
         return Ok(Value::Null);
@@ -313,7 +333,7 @@ fn parse_scalar(s: &str, no: usize) -> Result<Value, ParseError> {
     match s.as_bytes()[0] {
         b'[' | b'{' => {
             let mut f = FlowParser { src: s.as_bytes(), pos: 0, no };
-            let v = f.parse_value()?;
+            let v = f.parse_value(depth)?;
             f.skip_ws();
             if f.pos != f.src.len() {
                 return Err(ParseError::new(no, "trailing characters after flow collection"));
@@ -425,11 +445,14 @@ impl<'a> FlowParser<'a> {
         self.src.get(self.pos).copied()
     }
 
-    fn parse_value(&mut self) -> Result<Value, ParseError> {
+    /// Parse the value at `pos`, which sits inside `depth` open
+    /// collections, block and flow.
+    fn parse_value(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'[') => self.parse_flow_seq(),
-            Some(b'{') => self.parse_flow_map(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(too_deep(self.no)),
+            Some(b'[') => self.parse_flow_seq(depth + 1),
+            Some(b'{') => self.parse_flow_map(depth + 1),
             Some(b'"') | Some(b'\'') => {
                 let tok = self.take_quoted()?;
                 parse_quoted(&tok).map(Value::Str).map_err(|m| self.err(m))
@@ -442,7 +465,7 @@ impl<'a> FlowParser<'a> {
         }
     }
 
-    fn parse_flow_seq(&mut self) -> Result<Value, ParseError> {
+    fn parse_flow_seq(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.pos += 1; // consume '['
         let mut items = Vec::new();
         loop {
@@ -455,7 +478,7 @@ impl<'a> FlowParser<'a> {
                 None => return Err(self.err("unterminated '['")),
                 _ => {}
             }
-            items.push(self.parse_value()?);
+            items.push(self.parse_value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -467,15 +490,15 @@ impl<'a> FlowParser<'a> {
         }
     }
 
-    fn parse_flow_map(&mut self) -> Result<Value, ParseError> {
+    fn parse_flow_map(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.pos += 1; // consume '{'
-        let mut entries: Vec<(String, Value)> = Vec::new();
+        let mut entries = MapEntries::new();
         loop {
             self.skip_ws();
             match self.peek() {
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Map(entries));
+                    return Ok(entries.into_value());
                 }
                 None => return Err(self.err("unterminated '{'")),
                 _ => {}
@@ -501,7 +524,7 @@ impl<'a> FlowParser<'a> {
             if key.is_empty() {
                 return Err(self.err("empty key in flow map"));
             }
-            if entries.iter().any(|(k, _)| *k == key) {
+            if entries.contains(&key) {
                 return Err(self.err(format!("duplicate key '{key}'")));
             }
             self.skip_ws();
@@ -509,8 +532,8 @@ impl<'a> FlowParser<'a> {
                 return Err(self.err("expected ':' in flow map"));
             }
             self.pos += 1;
-            let value = self.parse_value()?;
-            entries.push((key, value));
+            let value = self.parse_value(depth)?;
+            entries.push(key, value);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -860,6 +883,56 @@ c: "line\nbreak"
         let root = Value::Seq(vec![a, b]);
         let text = to_yaml(&root);
         assert_eq!(from_yaml(&text).unwrap(), root);
+    }
+
+    #[test]
+    fn nesting_is_refused_one_level_past_the_limit() {
+        let flow =
+            |depth: usize| format!("a: {}1{}\n", "[".repeat(depth - 1), "]".repeat(depth - 1));
+        // The block map is one level, so `a:` holds MAX_DEPTH - 1 more.
+        assert!(from_yaml(&flow(MAX_DEPTH)).is_ok());
+        let err = from_yaml(&format!("x: 1\n{}", flow(MAX_DEPTH + 1))).unwrap_err();
+        assert_eq!((err.line, err.msg.as_str()), (2, "nesting deeper than 128 levels"));
+        let err = from_yaml(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!((err.line, err.msg.as_str()), (1, "nesting deeper than 128 levels"));
+        // Block nesting counts the same way, flow maps too.
+        let block = |depth: usize| {
+            (0..depth).map(|d| format!("{}k{d}:\n", " ".repeat(d))).collect::<String>()
+        };
+        assert!(from_yaml(&block(MAX_DEPTH)).is_ok());
+        let err = from_yaml(&block(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.line, err.msg.as_str()), (MAX_DEPTH + 1, "nesting deeper than 128 levels"));
+        let maps = format!("m: {}1{}\n", "{a: ".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(from_yaml(&maps).unwrap_err().msg.contains("nesting deeper"));
+    }
+
+    #[test]
+    fn duplicate_keys_are_found_in_maps_of_any_size() {
+        for n in [2, 15, 16, 17, 1_000] {
+            let block: String = (0..n).map(|i| format!("k{i}: {i}\n")).collect();
+            assert_eq!(from_yaml(&block).unwrap().as_map().map(<[_]>::len), Some(n));
+            let err = from_yaml(&format!("{block}k{}: 0\n", n / 2)).unwrap_err();
+            assert_eq!((err.line, err.msg.clone()), (n + 1, format!("duplicate key 'k{}'", n / 2)));
+            let flow: Vec<String> = (0..n).map(|i| format!("k{i}: {i}")).collect();
+            let ok = format!("m: {{{}}}\n", flow.join(", "));
+            assert_eq!(
+                from_yaml(&ok).unwrap().get("m").and_then(Value::as_map).map(<[_]>::len),
+                Some(n)
+            );
+            let dup = format!("x: 1\nm: {{{}, k{}: 0}}\n", flow.join(", "), n - 1);
+            let err = from_yaml(&dup).unwrap_err();
+            assert_eq!((err.line, err.msg.clone()), (2, format!("duplicate key 'k{}'", n - 1)));
+        }
+    }
+
+    #[test]
+    fn long_sequences_of_inline_maps_parse() {
+        let doc: String = (0..3).map(|i| format!("- name: m{i}\n  tips: {i}\n")).collect();
+        let v = from_yaml(&doc).unwrap();
+        let items = v.as_seq().unwrap();
+        assert_eq!(items.len(), 3);
+        assert_eq!(items[2].get("tips"), Some(&Value::Int(2)));
+        assert_eq!(items[1].get("name").and_then(Value::as_str), Some("m1"));
     }
 
     #[test]

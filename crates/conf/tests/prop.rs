@@ -79,3 +79,77 @@ proptest! {
 }
 
 use sdl_conf::ValueExt;
+
+/// A linear-time case: its name, its small size n, the document of a given
+/// size, and the parser, which reports whether the document parsed.
+type GrowthCase = (&'static str, usize, fn(usize) -> String, fn(&str) -> bool);
+
+/// The fastest of 5 parses of `doc`, which must parse.
+fn min_parse_time(doc: &str, parse: fn(&str) -> bool) -> std::time::Duration {
+    (0..5)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            assert!(parse(doc), "document failed to parse");
+            started.elapsed()
+        })
+        .min()
+        .unwrap()
+}
+
+/// Parsers that face sockets and disk run in linear time: 16× the input
+/// takes about 16× as long (a quadratic step, such as comparing each key
+/// with every earlier key, takes about 256×). The bound is 64×.
+#[test]
+fn parse_time_grows_linearly_with_the_input() {
+    fn keys(n: usize, entry: fn(usize) -> String, sep: &str) -> String {
+        (0..n).map(entry).collect::<Vec<_>>().join(sep)
+    }
+    let cases: [GrowthCase; 6] = [
+        (
+            "JSON object",
+            2_000,
+            |n| format!("{{{}}}", keys(n, |i| format!("\"key{i}\": {i}"), ",\n")),
+            |d| from_json(d).is_ok(),
+        ),
+        (
+            "YAML block map",
+            2_000,
+            |n| keys(n, |i| format!("key{i}: {i}\n"), ""),
+            |d| from_yaml(d).is_ok(),
+        ),
+        (
+            "YAML flow map",
+            2_000,
+            |n| format!("m: {{{}}}\n", keys(n, |i| format!("key{i}: {i}"), ", ")),
+            |d| from_yaml(d).is_ok(),
+        ),
+        (
+            "YAML sequence of maps",
+            2_000,
+            |n| keys(n, |i| format!("- name: m{i}\n  tips: {i}\n"), ""),
+            |d| from_yaml(d).is_ok(),
+        ),
+        (
+            "JSON escaped string",
+            20_000,
+            |n| format!("\"{}\"", "ab\\n\\\"\\\\\\u0041".repeat(n)),
+            |d| from_json(d).is_ok(),
+        ),
+        (
+            "YAML escaped string",
+            20_000,
+            |n| format!("s: \"{}\"\n", "ab\\n\\\"\\\\".repeat(n)),
+            |d| from_yaml(d).is_ok(),
+        ),
+    ];
+    for (name, n, document, parse) in cases {
+        let small = min_parse_time(&document(n), parse);
+        let large = min_parse_time(&document(16 * n), parse);
+        let growth = large.as_secs_f64() / small.as_secs_f64().max(1e-9);
+        assert!(
+            growth < 64.0,
+            "{name}: {n} -> {} took {small:?} -> {large:?} ({growth:.0}x)",
+            16 * n
+        );
+    }
+}

@@ -1,12 +1,10 @@
 //! Scenario specifications and the declarative campaign matrix.
 
 use crate::backend::BackendSpec;
-use crate::config::{AppConfig, ConfigError};
-use sdl_color::{MixKind, Objective, Rgb8};
-use sdl_conf::{from_yaml, Value, ValueExt};
-use sdl_desim::{FaultPlan, FaultRates, RngHub};
-use sdl_solvers::SolverKind;
-use sdl_vision::{DriftSpec, Fidelity};
+use crate::config::{entries, positive_u32, string, unknown_key, AppConfig, ConfigError};
+use sdl_conf::{from_yaml, Value};
+use sdl_desim::RngHub;
+use std::fmt::{self, Write as _};
 
 /// How a scenario exercises the workcell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,16 +15,145 @@ pub enum RunMode {
     MultiOt2(usize),
 }
 
-impl RunMode {
-    /// Decode from the `n_ot2` config field. A *present* key always selects
-    /// the multi-OT2 flow engine (even for one handler, which is a valid
-    /// configuration of that engine); the single-loop app is encoded by the
-    /// key's absence, so every mode round-trips.
-    fn from_i64(n: i64) -> Result<RunMode, ConfigError> {
-        if n >= 1 {
-            Ok(RunMode::MultiOt2(n as usize))
-        } else {
-            Err(ConfigError(format!("n_ot2 must be >= 1, got {n}")))
+/// A list-valued key: a scalar is a mistake that must not silently drop the
+/// whole axis.
+fn list<'v>(key: &str, v: &'v Value) -> Result<&'v [Value], ConfigError> {
+    v.as_seq().ok_or_else(|| ConfigError(format!("{key} must be a list, got {}", v.type_name())))
+}
+
+/// One row of the campaign matrix: the campaign key, how one of its
+/// entries sets a scenario, and the tag that entry adds to the label.
+struct Axis {
+    key: &'static str,
+    set: fn(&mut ScenarioSpec, &Value) -> Result<(), ConfigError>,
+    /// Append the label tag, given the scenario, its entry of this axis
+    /// (`None` when unswept) and the number of entries the axis lists.
+    tag: fn(&mut String, &ScenarioSpec, Option<&Value>, usize) -> fmt::Result,
+}
+
+/// The matrix axes in cross-product order: solver slowest, seed fastest.
+/// Each maps a campaign key onto the [`AppConfig`] key (or keys) it sets.
+const AXES: [Axis; 10] = [
+    Axis {
+        key: "solvers",
+        set: |s, v| s.config.set("solver", v),
+        tag: |label, s, _, _| label.write_str(s.config.solver_label()),
+    },
+    Axis {
+        key: "batches",
+        set: |s, v| s.config.set("batch", v),
+        tag: |label, s, _, _| write!(label, "/b{}", s.config.batch),
+    },
+    Axis {
+        key: "targets",
+        set: |s, v| s.config.set("target", v),
+        tag: |label, s, _, n| if n > 1 { write!(label, "/t{}", s.config.target) } else { Ok(()) },
+    },
+    Axis {
+        key: "mix_models",
+        set: |s, v| s.config.set("mix_model", v),
+        tag: |label, s, _, n| {
+            if n > 1 {
+                write!(label, "/{}", s.config.mix.name())
+            } else {
+                Ok(())
+            }
+        },
+    },
+    Axis {
+        key: "fidelities",
+        set: |s, v| s.config.set("fidelity", v),
+        tag: |label, s, _, n| if n > 1 { write!(label, "/{}", s.config.fidelity) } else { Ok(()) },
+    },
+    Axis {
+        key: "objectives",
+        set: |s, v| s.config.set("objective", v),
+        tag: |label, s, _, n| {
+            if n > 1 {
+                write!(label, "/{}", s.config.objective.name())
+            } else {
+                Ok(())
+            }
+        },
+    },
+    // `none` is a stable illuminant here; a document's `drift: none` is
+    // refused.
+    Axis {
+        key: "drifts",
+        set: |s, v| match v.as_str() {
+            Some("none") => {
+                s.config.drift = None;
+                Ok(())
+            }
+            _ => s.config.set("drift", v),
+        },
+        tag: |label, s, _, n| match s.config.drift {
+            _ if n <= 1 => Ok(()),
+            Some(d) => write!(label, "/drift-{}", d.name()),
+            None => label.write_str("/no-drift"),
+        },
+    },
+    // One uniform rate per entry: reception `r`, action `r / 2`.
+    Axis {
+        key: "fault_rates",
+        set: |s, v| {
+            s.config.set("fault_reception", v)?;
+            s.config.set("fault_action", &Value::Float(v.as_f64().unwrap_or_default() / 2.0))
+        },
+        tag: |label, _, entry, _| match entry.and_then(Value::as_f64) {
+            Some(rate) => write!(label, "/f{rate}"),
+            None => Ok(()),
+        },
+    },
+    // Not an `AppConfig` key: one handler is the single-loop app.
+    Axis {
+        key: "n_ot2",
+        set: |s, v| {
+            s.mode = match positive_u32("n_ot2", v)? {
+                1 => RunMode::Single,
+                n => RunMode::MultiOt2(n as usize),
+            };
+            Ok(())
+        },
+        tag: |label, s, _, n| {
+            let handlers = match s.mode {
+                RunMode::Single => 1,
+                RunMode::MultiOt2(h) => h,
+            };
+            if n > 1 || handlers > 1 {
+                write!(label, "/ot2x{handlers}")
+            } else {
+                Ok(())
+            }
+        },
+    },
+    Axis {
+        key: "seeds",
+        set: |s, v| s.config.set("seed", v),
+        tag: |label, s, _, _| write!(label, "/s{}", s.config.seed),
+    },
+];
+
+/// The `seeds` axis entries: a count derives that many seeds from the
+/// master seed, so the whole campaign stays a pure function of the
+/// document; a list gives them explicitly.
+fn seed_entries(v: &Value, master: u64) -> Result<Vec<Value>, ConfigError> {
+    match v {
+        Value::Int(count) if *count <= 0 => Err(ConfigError("seeds count must be positive".into())),
+        Value::Int(count) => {
+            let hub = RngHub::new(master);
+            Ok((0..*count as u64)
+                .map(|i| Value::Int(hub.child("campaign.seed", i).master_seed() as i64))
+                .collect())
+        }
+        Value::Seq(seq) => {
+            if seq.iter().any(|s| s.as_i64().is_none_or(|s| s < 0)) {
+                return Err(ConfigError("seeds entries must be non-negative integers".into()));
+            }
+            Ok(seq.clone())
+        }
+        other => {
+            Err(ConfigError(format!("seeds must be a count or a list, got {}", other.type_name())))
         }
     }
 }
@@ -47,6 +174,9 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
+    /// The keys a scenario document adds to the [`AppConfig`] keys.
+    const KEYS: [&'static str; 3] = ["label", "n_ot2", "backend"];
+
     /// A single-loop scenario.
     pub fn new(label: impl Into<String>, config: AppConfig) -> ScenarioSpec {
         ScenarioSpec {
@@ -90,20 +220,28 @@ impl ScenarioSpec {
         v
     }
 
-    /// Decode a scenario from its `sdl-conf` form.
+    /// Decode a scenario from its `sdl-conf` form: the [`AppConfig`] keys
+    /// plus `label`, `n_ot2` and `backend`. Refuses a document that is not
+    /// a map and any other key.
     pub fn from_value(v: &Value) -> Result<ScenarioSpec, ConfigError> {
-        let config = AppConfig::from_value(v)?;
-        let mode = match v.opt_i64("n_ot2") {
-            Some(n) => RunMode::from_i64(n)?,
-            None => RunMode::Single,
-        };
-        let backend = match v.opt_str("backend") {
-            Some(s) => BackendSpec::parse(s)?,
-            None => BackendSpec::Sim,
-        };
-        let label =
-            v.opt_str("label").map(str::to_string).unwrap_or_else(|| config.experiment_id());
-        Ok(ScenarioSpec { label, config, mode, backend })
+        let mut spec = ScenarioSpec::new("", AppConfig::default());
+        let mut label = None;
+        for (key, value) in entries(v, "scenario")? {
+            match key {
+                _ if AppConfig::KEYS.contains(&key) => spec.config.set(key, value)?,
+                _ if !Self::KEYS.contains(&key) => {
+                    return Err(unknown_key("scenario", key, &[&AppConfig::KEYS, &Self::KEYS]))
+                }
+                _ if value.is_null() => {}
+                "label" => label = Some(string(key, value)?.to_string()),
+                // A present key always selects the multi-OT2 engine, even
+                // for one handler; the single-loop app is the key's absence.
+                "n_ot2" => spec.mode = RunMode::MultiOt2(positive_u32(key, value)? as usize),
+                _ => spec.backend = BackendSpec::parse(string(key, value)?)?,
+            }
+        }
+        spec.label = label.unwrap_or_else(|| spec.config.experiment_id());
+        Ok(spec)
     }
 
     /// Parse one scenario from a YAML document.
@@ -116,68 +254,8 @@ impl ScenarioSpec {
 /// The most scenarios one campaign document may expand to.
 const MAX_SCENARIOS: usize = 100_000;
 
-/// The matrix axes [`CampaignConfig::scenarios`] crosses.
-const AXES: [&str; 10] = [
-    "solvers",
-    "batches",
-    "targets",
-    "mix_models",
-    "fidelities",
-    "objectives",
-    "drifts",
-    "fault_rates",
-    "n_ot2",
-    "seeds",
-];
-
-/// The campaign keys that are not axes.
+/// The campaign keys that are neither axes nor [`AppConfig`] keys.
 const SETTINGS: [&str; 5] = ["name", "backend", "threads", "workers", "shard"];
-
-/// The number of scenarios `doc` expands to, `None` past `usize::MAX`: the
-/// product of its axis lengths, where `seeds: N` counts N and an absent or
-/// empty axis counts once.
-fn scenario_count(doc: &Value) -> Option<usize> {
-    AXES.iter().try_fold(1usize, |count, &key| {
-        let len = match doc.get(key) {
-            Some(Value::Int(n)) if key == "seeds" => usize::try_from(*n).unwrap_or(0),
-            Some(v) => v.as_seq().map_or(0, <[Value]>::len),
-            None => 0,
-        };
-        count.checked_mul(len.max(1))
-    })
-}
-
-/// The error for an unknown campaign key, naming the closest known key
-/// within edit distance 2.
-fn unknown_key(key: &str) -> ConfigError {
-    let closest = AppConfig::KEYS
-        .iter()
-        .chain(&AXES)
-        .chain(&SETTINGS)
-        .map(|known| (edit_distance(key, known), *known))
-        .filter(|&(d, _)| d <= 2)
-        .min();
-    match closest {
-        Some((_, known)) => {
-            ConfigError(format!("unknown campaign key '{key}' (did you mean '{known}'?)"))
-        }
-        None => ConfigError(format!("unknown campaign key '{key}'")),
-    }
-}
-
-/// Levenshtein distance between two strings, in chars.
-fn edit_distance(a: &str, b: &str) -> usize {
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    for (i, ca) in a.chars().enumerate() {
-        let mut cur = vec![i + 1];
-        for (j, &cb) in b.iter().enumerate() {
-            cur.push((prev[j] + usize::from(ca != cb)).min(prev[j + 1] + 1).min(cur[j] + 1));
-        }
-        prev = cur;
-    }
-    prev[b.len()]
-}
 
 /// A declarative scenario matrix: every combination of the listed axes
 /// becomes one [`ScenarioSpec`]. Axes left unspecified use the base
@@ -203,28 +281,9 @@ pub struct CampaignConfig {
     pub name: String,
     /// Base configuration each scenario starts from.
     pub base: AppConfig,
-    /// Solver axis.
-    pub solvers: Vec<SolverKind>,
-    /// Seed axis (explicit values, or derived from the master seed).
-    pub seeds: Vec<u64>,
-    /// Batch-size axis.
-    pub batches: Vec<u32>,
-    /// Target-color axis.
-    pub targets: Vec<Rgb8>,
-    /// Mixing-model axis.
-    pub mix_models: Vec<MixKind>,
-    /// Camera-fidelity axis (`full` / `fast` / `lowres`), the
-    /// resolution/render-path sweep.
-    pub fidelities: Vec<Fidelity>,
-    /// Objective axis (the perceptual-loss sweep: `rgb`, `cie76`, `cie94`,
-    /// `ciede2000`, `cam16ucs`).
-    pub objectives: Vec<Objective>,
-    /// Illumination-drift axis; a `none` entry means a stable illuminant.
-    pub drifts: Vec<Option<DriftSpec>>,
-    /// Uniform command-fault-rate axis (reception rate; action = half).
-    pub fault_rates: Vec<f64>,
-    /// OT-2-count axis (1 = the single-loop app).
-    pub n_ot2: Vec<usize>,
+    /// Each axis's entries, in [`AXES`] order, checked when the document
+    /// was parsed; an empty list leaves the axis unswept.
+    axes: [Vec<Value>; 10],
     /// Lab executor every scenario runs on (`sim`, `remote:<url>`,
     /// `replay:<path>`).
     pub backend: BackendSpec,
@@ -239,45 +298,74 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// A single-axis campaign around `base` (everything fixed).
-    pub fn single(name: impl Into<String>, base: AppConfig) -> CampaignConfig {
-        CampaignConfig {
-            name: name.into(),
-            base,
-            solvers: Vec::new(),
-            seeds: Vec::new(),
-            batches: Vec::new(),
-            targets: Vec::new(),
-            mix_models: Vec::new(),
-            fidelities: Vec::new(),
-            objectives: Vec::new(),
-            drifts: Vec::new(),
-            fault_rates: Vec::new(),
-            n_ot2: Vec::new(),
-            backend: BackendSpec::Sim,
-            threads: None,
-            workers: Vec::new(),
-            shard: None,
-        }
-    }
-
     /// Parse a campaign document.
     pub fn from_yaml(src: &str) -> Result<CampaignConfig, ConfigError> {
         let doc = from_yaml(src).map_err(|e| ConfigError(e.to_string()))?;
         CampaignConfig::from_value(&doc)
     }
 
-    /// Decode from an `sdl-conf` value tree. Refuses a key that is neither
-    /// an [`AppConfig`] key nor a campaign key, and a matrix of more than
-    /// 100,000 scenarios, before allocating any of it.
+    /// Decode from an `sdl-conf` value tree. Refuses a document that is not
+    /// a map, a key that is neither an [`AppConfig`] key nor a campaign
+    /// key, and a matrix of more than 100,000 scenarios before allocating
+    /// any of it. Every axis entry is checked here, once.
     pub fn from_value(doc: &Value) -> Result<CampaignConfig, ConfigError> {
-        for (key, _) in doc.as_map().unwrap_or_default() {
-            let key = key.as_str();
-            if !(AppConfig::KEYS.contains(&key) || AXES.contains(&key) || SETTINGS.contains(&key)) {
-                return Err(unknown_key(key));
+        let mut cfg = CampaignConfig {
+            name: "campaign".to_string(),
+            base: AppConfig::default(),
+            axes: Default::default(),
+            backend: BackendSpec::Sim,
+            threads: None,
+            workers: Vec::new(),
+            shard: None,
+        };
+        let mut listed: [Option<&Value>; 10] = [None; 10];
+        for (key, value) in entries(doc, "campaign")? {
+            if let Some(i) = AXES.iter().position(|axis| axis.key == key) {
+                listed[i] = Some(value);
+                continue;
+            }
+            match key {
+                _ if AppConfig::KEYS.contains(&key) => cfg.base.set(key, value)?,
+                _ if !SETTINGS.contains(&key) => {
+                    let axes = AXES.map(|axis| axis.key);
+                    return Err(unknown_key(
+                        "campaign",
+                        key,
+                        &[&AppConfig::KEYS, &axes, &SETTINGS],
+                    ));
+                }
+                "workers" => {
+                    cfg.workers = list(key, value)?
+                        .iter()
+                        .map(|w| {
+                            w.as_str()
+                                .map(str::trim)
+                                .filter(|a| !a.is_empty())
+                                .map(str::to_string)
+                                .ok_or_else(|| {
+                                    ConfigError("workers entries must be addresses".into())
+                                })
+                        })
+                        .collect::<Result<_, _>>()?;
+                }
+                _ if value.is_null() => {}
+                "name" => cfg.name = string(key, value)?.to_string(),
+                "backend" => cfg.backend = BackendSpec::parse(string(key, value)?)?,
+                "threads" => cfg.threads = Some(positive_u32(key, value)? as usize),
+                _ => cfg.shard = Some(positive_u32(key, value)? as usize),
             }
         }
-        let count = scenario_count(doc);
+
+        // The product of the axis lengths, where `seeds: N` counts N and an
+        // absent or empty axis counts once; `None` past `usize::MAX`.
+        let count = AXES.iter().zip(listed).try_fold(1usize, |count, (axis, value)| {
+            let len = match value {
+                Some(Value::Int(n)) if axis.key == "seeds" => usize::try_from(*n).unwrap_or(0),
+                Some(v) => v.as_seq().map_or(0, <[Value]>::len),
+                None => 0,
+            };
+            count.checked_mul(len.max(1))
+        });
         if count.is_none_or(|n| n > MAX_SCENARIOS) {
             let count =
                 count.map_or_else(|| format!("more than {}", usize::MAX), |n| n.to_string());
@@ -285,278 +373,55 @@ impl CampaignConfig {
                 "campaign expands to {count} scenarios, above the limit of {MAX_SCENARIOS}"
             )));
         }
-        let base = AppConfig::from_value(doc)?;
-        let mut cfg =
-            CampaignConfig::single(doc.opt_str("name").unwrap_or("campaign").to_string(), base);
 
-        // Axis keys must be sequences when present; a scalar is a user
-        // mistake that must not silently drop the whole axis.
-        let axis = |key: &'static str| -> Result<Option<&[Value]>, ConfigError> {
-            match doc.get(key) {
-                None => Ok(None),
-                Some(v) => Ok(Some(v.as_seq().ok_or_else(|| {
-                    ConfigError(format!("{key} must be a list, got {}", v.type_name()))
-                })?)),
-            }
-        };
-
-        if let Some(seq) = axis("solvers")? {
-            for s in seq {
-                let name = s
-                    .as_str()
-                    .ok_or_else(|| ConfigError("solvers entries must be names".into()))?;
-                cfg.solvers.push(SolverKind::parse(name).ok_or_else(|| {
-                    ConfigError(format!(
-                        "unknown solver '{name}' (valid: {})",
-                        SolverKind::valid_names()
-                    ))
-                })?);
-            }
-        }
-        match doc.get("seeds") {
-            Some(Value::Int(count)) => {
-                // A bare count derives per-scenario seed streams from the
-                // master seed, so the whole campaign remains a pure function
-                // of the document.
-                if *count <= 0 {
-                    return Err(ConfigError("seeds count must be positive".into()));
+        let mut probe = ScenarioSpec::new("", cfg.base.clone());
+        for ((axis, entries), value) in AXES.iter().zip(&mut cfg.axes).zip(listed) {
+            let Some(value) = value else { continue };
+            *entries = match axis.key {
+                "seeds" => seed_entries(value, cfg.base.seed)?,
+                key => list(key, value)?.to_vec(),
+            };
+            for entry in entries.iter() {
+                if entry.is_null() {
+                    return Err(ConfigError(format!("{} entries must not be null", axis.key)));
                 }
-                let hub = RngHub::new(cfg.base.seed);
-                cfg.seeds = (0..*count as u64)
-                    .map(|i| hub.child("campaign.seed", i).master_seed())
-                    .collect();
+                (axis.set)(&mut probe, entry)
+                    .map_err(|e| ConfigError(format!("{} entry: {}", axis.key, e.0)))?;
             }
-            Some(Value::Seq(seq)) => {
-                for s in seq {
-                    let v = s.as_i64().filter(|v| *v >= 0).ok_or_else(|| {
-                        ConfigError("seeds entries must be non-negative integers".into())
-                    })?;
-                    cfg.seeds.push(v as u64);
-                }
-            }
-            Some(other) => {
-                return Err(ConfigError(format!(
-                    "seeds must be a count or a list, got {}",
-                    other.type_name()
-                )))
-            }
-            None => {}
-        }
-        if let Some(seq) = axis("batches")? {
-            for b in seq {
-                let v = b.as_i64().filter(|v| *v > 0).ok_or_else(|| {
-                    ConfigError("batches entries must be positive integers".into())
-                })?;
-                cfg.batches.push(v as u32);
-            }
-        }
-        if let Some(seq) = axis("targets")? {
-            for t in seq {
-                cfg.targets.push(crate::config::parse_rgb_triple(t, "targets entry")?);
-            }
-        }
-        if let Some(seq) = axis("mix_models")? {
-            for m in seq {
-                let name = m
-                    .as_str()
-                    .ok_or_else(|| ConfigError("mix_models entries must be names".into()))?;
-                cfg.mix_models.push(
-                    MixKind::parse(name)
-                        .ok_or_else(|| ConfigError(format!("unknown mix model '{name}'")))?,
-                );
-            }
-        }
-        if let Some(seq) = axis("fidelities")? {
-            for f in seq {
-                let name = f
-                    .as_str()
-                    .ok_or_else(|| ConfigError("fidelities entries must be names".into()))?;
-                cfg.fidelities.push(Fidelity::parse(name).ok_or_else(|| {
-                    ConfigError(format!(
-                        "unknown fidelity '{name}' (valid: {})",
-                        Fidelity::valid_names()
-                    ))
-                })?);
-            }
-        }
-        if let Some(seq) = axis("objectives")? {
-            for o in seq {
-                let name = o
-                    .as_str()
-                    .ok_or_else(|| ConfigError("objectives entries must be names".into()))?;
-                cfg.objectives.push(Objective::parse(name).ok_or_else(|| {
-                    ConfigError(format!(
-                        "unknown objective '{name}' (valid: {})",
-                        Objective::valid_names()
-                    ))
-                })?);
-            }
-        }
-        if let Some(seq) = axis("drifts")? {
-            for d in seq {
-                let name =
-                    d.as_str().ok_or_else(|| ConfigError("drifts entries must be names".into()))?;
-                if name == "none" {
-                    cfg.drifts.push(None);
-                } else {
-                    cfg.drifts.push(Some(DriftSpec::parse(name).ok_or_else(|| {
-                        ConfigError(format!(
-                            "unknown drift '{name}' (valid: none, {})",
-                            DriftSpec::valid_names()
-                        ))
-                    })?));
-                }
-            }
-        }
-        if let Some(seq) = axis("fault_rates")? {
-            for r in seq {
-                let v = r
-                    .as_f64()
-                    .filter(|v| (0.0..=1.0).contains(v))
-                    .ok_or_else(|| ConfigError("fault_rates entries must be in [0, 1]".into()))?;
-                cfg.fault_rates.push(v);
-            }
-        }
-        if let Some(seq) = axis("n_ot2")? {
-            for n in seq {
-                let v = n
-                    .as_i64()
-                    .filter(|v| *v >= 1)
-                    .ok_or_else(|| ConfigError("n_ot2 entries must be >= 1".into()))?;
-                cfg.n_ot2.push(v as usize);
-            }
-        }
-        if let Some(b) = doc.opt_str("backend") {
-            cfg.backend = BackendSpec::parse(b)?;
-        }
-        if let Some(t) = doc.opt_i64("threads") {
-            if t < 1 {
-                return Err(ConfigError("threads must be positive".into()));
-            }
-            cfg.threads = Some(t as usize);
-        }
-        if let Some(seq) = axis("workers")? {
-            for w in seq {
-                let addr = w
-                    .as_str()
-                    .map(str::trim)
-                    .filter(|a| !a.is_empty())
-                    .ok_or_else(|| ConfigError("workers entries must be addresses".into()))?;
-                cfg.workers.push(addr.to_string());
-            }
-        }
-        if let Some(s) = doc.opt_i64("shard") {
-            if s < 1 {
-                return Err(ConfigError("shard must be positive".into()));
-            }
-            cfg.shard = Some(s as usize);
         }
         Ok(cfg)
     }
 
-    /// Expand the matrix into concrete scenarios (row-major over the axes in
-    /// declaration order: solver, batch, target, mix model, fidelity,
-    /// objective, drift, fault rate, OT-2 count, seed).
+    /// Expand the matrix into concrete scenarios, row-major over the axes
+    /// (solver, batch, target, mix model, fidelity, objective, drift, fault
+    /// rate, OT-2 count, seed): each scenario is the base with one entry of
+    /// every swept axis set.
     pub fn scenarios(&self) -> Vec<ScenarioSpec> {
-        // An unspecified axis contributes exactly the base value.
-        let solvers =
-            if self.solvers.is_empty() { vec![self.base.solver] } else { self.solvers.clone() };
-        let batches =
-            if self.batches.is_empty() { vec![self.base.batch] } else { self.batches.clone() };
-        let targets =
-            if self.targets.is_empty() { vec![self.base.target] } else { self.targets.clone() };
-        let mixes =
-            if self.mix_models.is_empty() { vec![self.base.mix] } else { self.mix_models.clone() };
-        let fidelities = if self.fidelities.is_empty() {
-            vec![self.base.fidelity]
-        } else {
-            self.fidelities.clone()
-        };
-        let objectives = if self.objectives.is_empty() {
-            vec![self.base.objective]
-        } else {
-            self.objectives.clone()
-        };
-        let drifts: Vec<Option<DriftSpec>> =
-            if self.drifts.is_empty() { vec![self.base.drift] } else { self.drifts.clone() };
-        let faults: Vec<Option<f64>> = if self.fault_rates.is_empty() {
-            vec![None]
-        } else {
-            self.fault_rates.iter().copied().map(Some).collect()
-        };
-        let handlers = if self.n_ot2.is_empty() { vec![1usize] } else { self.n_ot2.clone() };
-        let seeds = if self.seeds.is_empty() { vec![self.base.seed] } else { self.seeds.clone() };
-
-        // The full cross product is a 10-deep loop; iterate the flattened
-        // index space instead and decode row-major (seed fastest), matching
-        // the declaration order above.
-        let dims = [
-            solvers.len(),
-            batches.len(),
-            targets.len(),
-            mixes.len(),
-            fidelities.len(),
-            objectives.len(),
-            drifts.len(),
-            faults.len(),
-            handlers.len(),
-            seeds.len(),
-        ];
+        // An unswept axis counts once and keeps the base value.
+        let dims = self.axes.each_ref().map(|entries| entries.len().max(1));
         let total: usize = dims.iter().product();
         let mut out = Vec::with_capacity(total);
         for flat in 0..total {
-            let mut idx = [0usize; 10];
+            let mut picks = [None; 10];
             let mut rest = flat;
-            for (slot, &dim) in idx.iter_mut().zip(&dims).rev() {
-                *slot = rest % dim;
+            for ((pick, entries), dim) in picks.iter_mut().zip(&self.axes).zip(dims).rev() {
+                *pick = entries.get(rest % dim);
                 rest /= dim;
             }
-            let [si, bi, ti, mi, fi, oi, di, fri, ni, sdi] = idx;
-            let (solver, batch, target) = (solvers[si], batches[bi], targets[ti]);
-            let (mix, fidelity) = (mixes[mi], fidelities[fi]);
-            let (objective, drift) = (objectives[oi], drifts[di]);
-            let (fault, n, seed) = (faults[fri], handlers[ni], seeds[sdi]);
-
-            let mut config = self.base.clone();
-            config.solver = solver;
-            config.batch = batch;
-            config.target = target;
-            config.mix = mix;
-            config.fidelity = fidelity;
-            config.objective = objective;
-            config.drift = drift;
-            config.seed = seed;
-            if let Some(rate) = fault {
-                config.faults = FaultPlan::uniform(FaultRates::new(rate, rate / 2.0));
-            }
-            let mut label = format!("{}/b{}", solver.name(), batch);
-            if targets.len() > 1 {
-                label.push_str(&format!("/t{target}"));
-            }
-            if mixes.len() > 1 {
-                label.push_str(&format!("/{}", mix.name()));
-            }
-            if fidelities.len() > 1 {
-                label.push_str(&format!("/{fidelity}"));
-            }
-            if objectives.len() > 1 {
-                label.push_str(&format!("/{}", objective.name()));
-            }
-            if drifts.len() > 1 {
-                match drift {
-                    Some(d) => label.push_str(&format!("/drift-{}", d.name())),
-                    None => label.push_str("/no-drift"),
+            let mut spec = ScenarioSpec::new(String::new(), self.base.clone())
+                .with_backend(self.backend.clone());
+            for (axis, pick) in AXES.iter().zip(picks) {
+                if let Some(entry) = pick {
+                    (axis.set)(&mut spec, entry).expect("axis entries are checked when parsed");
                 }
             }
-            if let Some(rate) = fault {
-                label.push_str(&format!("/f{rate}"));
+            let mut label = String::new();
+            for ((axis, entries), pick) in AXES.iter().zip(&self.axes).zip(picks) {
+                (axis.tag)(&mut label, &spec, pick, entries.len())
+                    .expect("writing to a String cannot fail");
             }
-            if handlers.len() > 1 || n > 1 {
-                label.push_str(&format!("/ot2x{n}"));
-            }
-            label.push_str(&format!("/s{seed}"));
-            let mode = if n == 1 { RunMode::Single } else { RunMode::MultiOt2(n) };
-            out.push(ScenarioSpec { label, config, mode, backend: self.backend.clone() });
+            spec.label = label;
+            out.push(spec);
         }
         out
     }
@@ -565,6 +430,11 @@ impl CampaignConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdl_color::Objective;
+    use sdl_conf::ValueExt;
+    use sdl_desim::{FaultPlan, FaultRates};
+    use sdl_solvers::SolverKind;
+    use sdl_vision::{DriftSpec, Fidelity};
 
     #[test]
     fn scenario_roundtrips_through_conf() {
@@ -632,9 +502,20 @@ mod tests {
             "name: fid\nsamples: 8\nfidelities: [full, fast, lowres]\nseeds: [1, 2]\n",
         )
         .unwrap();
-        assert_eq!(cfg.fidelities, vec![Fidelity::Full, Fidelity::Fast, Fidelity::Lowres]);
         let scenarios = cfg.scenarios();
         assert_eq!(scenarios.len(), 6);
+        let fidelities: Vec<Fidelity> = scenarios.iter().map(|s| s.config.fidelity).collect();
+        assert_eq!(
+            fidelities[..],
+            [
+                Fidelity::Full,
+                Fidelity::Full,
+                Fidelity::Fast,
+                Fidelity::Fast,
+                Fidelity::Lowres,
+                Fidelity::Lowres
+            ]
+        );
         for f in Fidelity::ALL {
             assert_eq!(scenarios.iter().filter(|s| s.config.fidelity == f).count(), 2);
             assert!(scenarios.iter().any(|s| s.label.contains(f.name())), "label axis tag");
@@ -656,10 +537,19 @@ mod tests {
             "name: stress\nsamples: 8\nobjectives: [rgb, ciede2000]\ndrifts: [none, wb+gain]\n",
         )
         .unwrap();
-        assert_eq!(cfg.objectives, vec![Objective::Rgb, Objective::Ciede2000]);
-        assert_eq!(cfg.drifts, vec![None, Some(DriftSpec::WB_GAIN)]);
         let scenarios = cfg.scenarios();
         assert_eq!(scenarios.len(), 4);
+        let swept: Vec<_> =
+            scenarios.iter().map(|s| (s.config.objective, s.config.drift)).collect();
+        assert_eq!(
+            swept,
+            [
+                (Objective::Rgb, None),
+                (Objective::Rgb, Some(DriftSpec::WB_GAIN)),
+                (Objective::Ciede2000, None),
+                (Objective::Ciede2000, Some(DriftSpec::WB_GAIN)),
+            ]
+        );
         // Axis tags appear only when the axis is actually swept.
         assert!(scenarios.iter().any(|s| s.label.contains("/ciede2000")));
         assert!(scenarios.iter().any(|s| s.label.contains("/no-drift")));
@@ -697,12 +587,14 @@ mod tests {
 
     #[test]
     fn seed_count_derives_from_master_seed() {
-        let a = CampaignConfig::from_yaml("seed: 5\nseeds: 4\n").unwrap();
-        let b = CampaignConfig::from_yaml("seed: 5\nseeds: 4\n").unwrap();
-        let c = CampaignConfig::from_yaml("seed: 6\nseeds: 4\n").unwrap();
-        assert_eq!(a.seeds, b.seeds);
-        assert_ne!(a.seeds, c.seeds);
-        assert_eq!(a.seeds.len(), 4);
+        let seeds = |doc: &str| -> Vec<u64> {
+            let cfg = CampaignConfig::from_yaml(doc).unwrap();
+            cfg.scenarios().iter().map(|s| s.config.seed).collect()
+        };
+        let a = seeds("seed: 5\nseeds: 4\n");
+        assert_eq!(a, seeds("seed: 5\nseeds: 4\n"));
+        assert_ne!(a, seeds("seed: 6\nseeds: 4\n"));
+        assert_eq!(a.len(), 4);
     }
 
     #[test]
@@ -718,9 +610,6 @@ mod tests {
         assert!(err.0.contains("'fidelites'") && err.0.contains("'fidelities'"), "{err}");
         let err = CampaignConfig::from_yaml("colour: red\n").unwrap_err();
         assert_eq!(err.0, "unknown campaign key 'colour'");
-        assert_eq!(edit_distance("fidelites", "fidelities"), 1);
-        assert_eq!(edit_distance("", "seed"), 4);
-        assert_eq!(edit_distance("batch", "batches"), 2);
     }
 
     #[test]
@@ -743,6 +632,29 @@ mod tests {
                       solvers: [genetic, bayesian, random]\nseeds: 32\n\
                       batches: [1, 4, 16]\nfault_rates: [0.0, 0.05]\n";
         assert_eq!(CampaignConfig::from_yaml(readme).unwrap().scenarios().len(), 576);
+    }
+
+    #[test]
+    fn scenario_and_campaign_documents_are_strict() {
+        let err = ScenarioSpec::from_yaml("labl: x\n").unwrap_err();
+        assert_eq!(err.0, "unknown scenario key 'labl' (did you mean 'label'?)");
+        let err = CampaignConfig::from_yaml("sed: 4\n").unwrap_err();
+        assert_eq!(err.0, "unknown campaign key 'sed' (did you mean 'seed'?)");
+        for doc in ["42\n", "- samples\n"] {
+            let err = ScenarioSpec::from_yaml(doc).unwrap_err();
+            assert!(err.0.starts_with("a scenario document must be a map"), "{err}");
+            let err = CampaignConfig::from_yaml(doc).unwrap_err();
+            assert!(err.0.starts_with("a campaign document must be a map"), "{err}");
+        }
+        // Axis entries are checked once, at parse time, with the axis named.
+        let err = CampaignConfig::from_yaml("solvers: [genetic, quantum]\n").unwrap_err();
+        assert!(err.0.starts_with("solvers entry: unknown solver 'quantum'"), "{err}");
+        let err = CampaignConfig::from_yaml("batches: [4, 4294967298]\n").unwrap_err();
+        assert_eq!(err.0, "batches entry: batch must be in 1..=4294967295, got 4294967298");
+        assert!(CampaignConfig::from_yaml("solvers: [null]\n").is_err());
+        // `none` means "no drift" only as a drifts axis entry.
+        assert!(CampaignConfig::from_yaml("drift: none\n").is_err());
+        assert!(CampaignConfig::from_yaml("drifts: [none]\n").is_ok());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Application configuration.
 
 use sdl_color::{DyeSet, MixKind, Objective, Rgb8};
-use sdl_conf::{from_yaml, Value, ValueExt};
+use sdl_conf::{from_yaml, Value};
 use sdl_desim::{FaultPlan, FaultRates};
 use sdl_solvers::SolverKind;
 use sdl_vision::{DriftSpec, Fidelity};
@@ -129,9 +129,8 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Parse an `[r, g, b]` triple of 0-255 integers (shared by the `target`
-/// field and the campaign `targets` axis).
-pub(crate) fn parse_rgb_triple(v: &Value, what: &str) -> Result<Rgb8, ConfigError> {
+/// Parse an `[r, g, b]` triple of 0-255 integers.
+fn parse_rgb_triple(v: &Value, what: &str) -> Result<Rgb8, ConfigError> {
     let t =
         v.as_seq().ok_or_else(|| ConfigError(format!("{what} must be a [r, g, b] sequence")))?;
     if t.len() != 3 {
@@ -145,12 +144,92 @@ pub(crate) fn parse_rgb_triple(v: &Value, what: &str) -> Result<Rgb8, ConfigErro
 }
 
 /// Encode a color as the `[r, g, b]` sequence `parse_rgb_triple` reads.
-pub(crate) fn rgb_value(c: Rgb8) -> Value {
+fn rgb_value(c: Rgb8) -> Value {
     let mut triple = Value::seq();
     for ch in c.channels() {
         triple.push(ch as i64);
     }
     triple
+}
+
+/// The error for a value of the wrong type.
+fn expected(key: &str, what: &str, got: &Value) -> ConfigError {
+    ConfigError(format!("{key} must be {what}, got {}", got.type_name()))
+}
+
+pub(crate) fn string<'v>(key: &str, v: &'v Value) -> Result<&'v str, ConfigError> {
+    v.as_str().ok_or_else(|| expected(key, "a string", v))
+}
+
+fn number(key: &str, v: &Value) -> Result<f64, ConfigError> {
+    v.as_f64().ok_or_else(|| expected(key, "a number", v))
+}
+
+fn boolean(key: &str, v: &Value) -> Result<bool, ConfigError> {
+    v.as_bool().ok_or_else(|| expected(key, "true or false", v))
+}
+
+/// A count in `1..=u32::MAX`; anything else is refused, never wrapped.
+pub(crate) fn positive_u32(key: &str, v: &Value) -> Result<u32, ConfigError> {
+    let n = v.as_i64().ok_or_else(|| expected(key, "an integer", v))?;
+    u32::try_from(n)
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| ConfigError(format!("{key} must be in 1..={}, got {n}", u32::MAX)))
+}
+
+/// A document's entries in the order they apply: the `metric` alias
+/// first, so an explicit `objective` wins wherever it stands. An empty
+/// document (YAML `null`) has no entries; any other non-map is refused.
+pub(crate) fn entries<'a>(
+    doc: &'a Value,
+    what: &str,
+) -> Result<impl Iterator<Item = (&'a str, &'a Value)>, ConfigError> {
+    let map = match doc {
+        Value::Null => &[][..],
+        _ => doc.as_map().ok_or_else(|| {
+            ConfigError(format!("a {what} document must be a map, got {}", doc.type_name()))
+        })?,
+    };
+    let alias = map.iter().filter(|(k, _)| k == "metric");
+    Ok(alias.chain(map.iter().filter(|(k, _)| k != "metric")).map(|(k, v)| (k.as_str(), v)))
+}
+
+/// The error for an unknown key in a `what` document, naming the closest
+/// key that is valid there.
+pub(crate) fn unknown_key(what: &str, key: &str, valid: &[&[&str]]) -> ConfigError {
+    match closest_name(key, valid.iter().flat_map(|keys| keys.iter().copied())) {
+        Some(known) => ConfigError(format!("unknown {what} key '{key}' (did you mean '{known}'?)")),
+        None => ConfigError(format!("unknown {what} key '{key}'")),
+    }
+}
+
+/// The candidate closest to `name` within edit distance 2, if any (ties go
+/// to the lexically smallest), for did-you-mean hints.
+pub fn closest_name<'a>(
+    name: &str,
+    candidates: impl IntoIterator<Item = &'a str>,
+) -> Option<&'a str> {
+    candidates
+        .into_iter()
+        .map(|known| (edit_distance(name, known), known))
+        .filter(|&(d, _)| d <= 2)
+        .min()
+        .map(|(_, known)| known)
+}
+
+/// Levenshtein distance between two strings, in chars.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut prev: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut cur = vec![i + 1];
+        for (j, &cb) in b.iter().enumerate() {
+            cur.push((prev[j] + usize::from(ca != cb)).min(prev[j + 1] + 1).min(cur[j] + 1));
+        }
+        prev = cur;
+    }
+    prev[b.len()]
 }
 
 impl AppConfig {
@@ -172,7 +251,7 @@ impl AppConfig {
         AppConfig::from_value(&doc)
     }
 
-    /// Every top-level key [`AppConfig::from_value`] reads.
+    /// Every key [`AppConfig::set`] accepts.
     pub(crate) const KEYS: [&'static str; 23] = [
         "experiment",
         "date",
@@ -200,116 +279,150 @@ impl AppConfig {
     ];
 
     /// Build from an already-parsed `sdl-conf` value tree; unspecified
-    /// fields keep their defaults.
+    /// fields keep their defaults. Refuses a document that is not a map and
+    /// any key [`AppConfig::set`] does not know.
     pub fn from_value(doc: &Value) -> Result<AppConfig, ConfigError> {
         let mut cfg = AppConfig::default();
-        if let Some(v) = doc.opt_str("experiment") {
-            cfg.experiment_name = v.to_string();
-        }
-        if let Some(v) = doc.opt_str("date") {
-            cfg.date = v.to_string();
-        }
-        if let Some(t) = doc.get("target") {
-            cfg.target = parse_rgb_triple(t, "target")?;
-        }
-        if let Some(t) = doc.get("target_set") {
-            let seq = t.as_seq().ok_or_else(|| {
-                ConfigError("target_set must be a list of [r, g, b] triples".into())
-            })?;
-            for e in seq {
-                cfg.target_set.push(parse_rgb_triple(e, "target_set entry")?);
-            }
-        }
-        if let Some(t) = doc.get("target_to") {
-            cfg.target_to = Some(parse_rgb_triple(t, "target_to")?);
-        }
-        if let Some(v) = doc.opt_i64("samples") {
-            if v <= 0 {
-                return Err(ConfigError("samples must be positive".into()));
-            }
-            cfg.sample_budget = v as u32;
-        }
-        if let Some(v) = doc.opt_i64("batch") {
-            if v <= 0 {
-                return Err(ConfigError("batch must be positive".into()));
-            }
-            cfg.batch = v as u32;
-        }
-        if let Some(v) = doc.opt_str("solver") {
-            match SolverKind::parse(v) {
-                Some(kind) => cfg.solver = kind,
-                None if sdl_solvers::solver_registered(v) => {
-                    cfg.custom_solver = Some(v.to_string());
-                }
-                None => {
-                    return Err(ConfigError(format!(
-                        "unknown solver '{v}' (registered solvers: {})",
-                        sdl_solvers::registered_names()
-                    )))
-                }
-            }
-        }
-        // `objective:` names the metric × color space the run optimizes;
-        // the historical `metric:` key is accepted as an alias.
-        if let Some(v) = doc.opt_str("objective").or_else(|| doc.opt_str("metric")) {
-            cfg.objective = Objective::parse(v).ok_or_else(|| {
-                ConfigError(format!(
-                    "unknown objective '{v}' (valid: {})",
-                    Objective::valid_names()
-                ))
-            })?;
-        }
-        if let Some(v) = doc.opt_str("mix_model") {
-            cfg.mix =
-                MixKind::parse(v).ok_or_else(|| ConfigError(format!("unknown mix model '{v}'")))?;
-        }
-        if let Some(v) = doc.opt_i64("seed") {
-            cfg.seed = v as u64;
-        }
-        if let Some(v) = doc.opt_f64("match_threshold") {
-            cfg.match_threshold = Some(v);
-        }
-        if let Some(v) = doc.opt_f64("refill_watermark_ul") {
-            cfg.refill_watermark_ul = v;
-        }
-        if let Some(v) = doc.opt_bool("publish_images") {
-            cfg.publish_images = v;
-        }
-        if let Some(v) = doc.opt_f64("compute_seconds") {
-            cfg.compute_seconds = v;
-        }
-        if let Some(v) = doc.opt_bool("flat_field") {
-            cfg.flat_field = v;
-        }
-        if let Some(v) = doc.opt_str("fidelity") {
-            cfg.fidelity = Fidelity::parse(v).ok_or_else(|| {
-                ConfigError(format!("unknown fidelity '{v}' (valid: {})", Fidelity::valid_names()))
-            })?;
-        }
-        if let Some(v) = doc.opt_str("drift") {
-            cfg.drift = Some(DriftSpec::parse(v).ok_or_else(|| {
-                ConfigError(format!("unknown drift '{v}' (valid: {})", DriftSpec::valid_names()))
-            })?);
-        }
-        if let Some(v) = doc.opt_str("dyes") {
-            cfg.dyes = match v {
-                "cmyk" => DyeSet::cmyk(),
-                "cmy" => DyeSet::cmy(),
-                other => return Err(ConfigError(format!("unknown dye set '{other}'"))),
-            };
-        }
-        if let Some(v) = doc.opt_str("workcell_yaml") {
-            cfg.workcell_yaml = v.to_string();
-        }
-        let reception = doc.opt_f64("fault_reception").unwrap_or(0.0);
-        let action = doc.opt_f64("fault_action").unwrap_or(0.0);
-        if !(0.0..=1.0).contains(&reception) || !(0.0..=1.0).contains(&action) {
-            return Err(ConfigError("fault rates must be in [0, 1]".into()));
-        }
-        if reception > 0.0 || action > 0.0 {
-            cfg.faults = FaultPlan::uniform(FaultRates::new(reception, action));
+        for (key, value) in entries(doc, "config")? {
+            cfg.set(key, value)?;
         }
         Ok(cfg)
+    }
+
+    /// Set one key from its document value. This is the only place a
+    /// setting is parsed and range-checked: config documents, scenario and
+    /// campaign documents, campaign axes, the worker's session requests and
+    /// the CLI all set keys through it. A `null` value leaves the setting
+    /// as it is, like an absent key.
+    pub fn set(&mut self, key: &str, value: &Value) -> Result<(), ConfigError> {
+        if value.is_null() && Self::KEYS.contains(&key) {
+            return Ok(());
+        }
+        match key {
+            "experiment" => self.experiment_name = string(key, value)?.to_string(),
+            "date" => self.date = string(key, value)?.to_string(),
+            "target" => self.target = parse_rgb_triple(value, key)?,
+            "target_set" => {
+                let seq = value.as_seq().ok_or_else(|| {
+                    ConfigError("target_set must be a list of [r, g, b] triples".into())
+                })?;
+                self.target_set = seq
+                    .iter()
+                    .map(|e| parse_rgb_triple(e, "target_set entry"))
+                    .collect::<Result<_, _>>()?;
+            }
+            "target_to" => self.target_to = Some(parse_rgb_triple(value, key)?),
+            "samples" => self.sample_budget = positive_u32(key, value)?,
+            "batch" => self.batch = positive_u32(key, value)?,
+            "solver" => {
+                let name = string(key, value)?;
+                match SolverKind::parse(name) {
+                    Some(kind) => {
+                        self.solver = kind;
+                        self.custom_solver = None;
+                    }
+                    None if sdl_solvers::solver_registered(name) => {
+                        self.custom_solver = Some(name.to_string());
+                    }
+                    None => {
+                        return Err(ConfigError(format!(
+                            "unknown solver '{name}' (registered solvers: {})",
+                            sdl_solvers::registered_names()
+                        )))
+                    }
+                }
+            }
+            // `objective:` names the metric × color space the run optimizes;
+            // the historical `metric:` key is an alias (see `entries`).
+            "objective" | "metric" => {
+                let name = string(key, value)?;
+                self.objective = Objective::parse(name).ok_or_else(|| {
+                    ConfigError(format!(
+                        "unknown objective '{name}' (valid: {})",
+                        Objective::valid_names()
+                    ))
+                })?;
+            }
+            "mix_model" => {
+                let name = string(key, value)?;
+                self.mix = MixKind::parse(name)
+                    .ok_or_else(|| ConfigError(format!("unknown mix model '{name}'")))?;
+            }
+            // Any i64; a seed above i64::MAX is written (and read back) as
+            // its two's-complement negative.
+            "seed" => {
+                self.seed = value.as_i64().ok_or_else(|| expected(key, "an integer", value))? as u64
+            }
+            "match_threshold" => self.match_threshold = Some(number(key, value)?),
+            "refill_watermark_ul" => self.refill_watermark_ul = number(key, value)?,
+            "publish_images" => self.publish_images = boolean(key, value)?,
+            "compute_seconds" => self.compute_seconds = number(key, value)?,
+            "flat_field" => self.flat_field = boolean(key, value)?,
+            "fidelity" => {
+                let name = string(key, value)?;
+                self.fidelity = Fidelity::parse(name).ok_or_else(|| {
+                    ConfigError(format!(
+                        "unknown fidelity '{name}' (valid: {})",
+                        Fidelity::valid_names()
+                    ))
+                })?;
+            }
+            "drift" => {
+                let name = string(key, value)?;
+                self.drift = Some(DriftSpec::parse(name).ok_or_else(|| {
+                    ConfigError(format!(
+                        "unknown drift '{name}' (valid: {})",
+                        DriftSpec::valid_names()
+                    ))
+                })?);
+            }
+            "dyes" => {
+                self.dyes = match string(key, value)? {
+                    "cmyk" => DyeSet::cmyk(),
+                    "cmy" => DyeSet::cmy(),
+                    other => return Err(ConfigError(format!("unknown dye set '{other}'"))),
+                }
+            }
+            "workcell_yaml" => self.workcell_yaml = string(key, value)?.to_string(),
+            // The two rates make one uniform plan; zero rates are no plan.
+            "fault_reception" | "fault_action" => {
+                let rate = number(key, value)?;
+                if !(0.0..=1.0).contains(&rate) {
+                    return Err(ConfigError(format!("{key} must be in [0, 1], got {rate}")));
+                }
+                let mut rates = self.faults.rates_for("");
+                if key == "fault_reception" {
+                    rates.reception = rate;
+                } else {
+                    rates.action = rate;
+                }
+                self.faults = if rates.reception > 0.0 || rates.action > 0.0 {
+                    FaultPlan::uniform(FaultRates::new(rates.reception, rates.action))
+                } else {
+                    FaultPlan::none()
+                };
+            }
+            _ => return Err(unknown_key("config", key, &[&Self::KEYS])),
+        }
+        Ok(())
+    }
+
+    /// Set `key` from command-line text, read as the document line
+    /// `key: text` would be, except that `target` takes `R,G,B` and `seed`
+    /// takes any `u64` (stored as the two's-complement `Int` that
+    /// [`AppConfig::to_value`] writes).
+    pub fn set_text(&mut self, key: &str, text: &str) -> Result<(), ConfigError> {
+        let value = match key {
+            "seed" => Value::Int(text.trim().parse::<u64>().map_err(|_| {
+                ConfigError(format!("seed must be an integer in 0..={}, got '{text}'", u64::MAX))
+            })? as i64),
+            "target" => from_yaml(&format!("[{text}]")).map_err(|e| ConfigError(e.to_string()))?,
+            _ => from_yaml(text).map_err(|e| ConfigError(e.to_string()))?,
+        };
+        if value.is_null() {
+            return Err(ConfigError(format!("{key} needs a value")));
+        }
+        self.set(key, &value)
     }
 
     /// Encode as an `sdl-conf` value tree (the inverse of
@@ -438,6 +551,7 @@ impl AppConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdl_conf::ValueExt;
 
     #[test]
     fn defaults_match_the_paper() {
@@ -488,6 +602,175 @@ mod tests {
         for (key, _) in entries {
             assert!(AppConfig::KEYS.contains(&key.as_str()), "'{key}' missing from KEYS");
         }
+    }
+
+    #[test]
+    fn the_setter_accepts_exactly_its_keys() {
+        // A valid value for every key: the encoded form of a config that
+        // sets everything, plus the `metric` alias.
+        let full = AppConfig {
+            target_set: vec![Rgb8::new(200, 10, 10)],
+            target_to: Some(Rgb8::new(250, 250, 250)),
+            match_threshold: Some(5.0),
+            drift: Some(DriftSpec::WB_GAIN),
+            workcell_yaml: "modules: []\n".to_string(),
+            faults: FaultPlan::uniform(FaultRates::new(0.1, 0.05)),
+            ..AppConfig::default()
+        };
+        let mut values = full.to_value().as_map().unwrap().to_vec();
+        values.push(("metric".to_string(), Value::from("cie76")));
+        let mut keys: Vec<&str> = values.iter().map(|(k, _)| k.as_str()).collect();
+        let mut want = AppConfig::KEYS.to_vec();
+        keys.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(keys, want);
+        let mut c = AppConfig::default();
+        for (key, value) in &values {
+            c.set(key, value).unwrap_or_else(|e| panic!("{key}: {e}"));
+        }
+        for key in ["solvr", "Samples", "sample", "label", "n_ot2", "solvers", ""] {
+            let err = c.set(key, &Value::Int(1)).unwrap_err();
+            assert!(err.0.starts_with(&format!("unknown config key '{key}'")), "{err}");
+        }
+    }
+
+    #[test]
+    fn unknown_keys_and_non_maps_are_refused() {
+        let err = AppConfig::from_yaml("samples: 4\nsolvr: random\n").unwrap_err();
+        assert_eq!(err.0, "unknown config key 'solvr' (did you mean 'solver'?)");
+        let err = AppConfig::from_json_text(r#"{"samples": 4, "fidelty": "full"}"#);
+        assert!(err.contains("'fidelity'"), "{err}");
+        let err = AppConfig::from_yaml("colour: red\n").unwrap_err();
+        assert_eq!(err.0, "unknown config key 'colour'");
+        for doc in ["42", "[]", "x", "- samples\n- 4\n"] {
+            let err = AppConfig::from_yaml(doc).unwrap_err();
+            assert!(err.0.contains("must be a map"), "{doc:?}: {err}");
+        }
+        // An empty document is the default config.
+        assert_eq!(AppConfig::from_yaml("# nothing\n").unwrap().sample_budget, 128);
+        assert_eq!(closest_name("fidelites", AppConfig::KEYS), Some("fidelity"));
+        assert_eq!(closest_name("colour", AppConfig::KEYS), None);
+        assert_eq!(edit_distance("fidelites", "fidelities"), 1);
+        assert_eq!(edit_distance("", "seed"), 4);
+        assert_eq!(edit_distance("batch", "batches"), 2);
+    }
+
+    impl AppConfig {
+        /// The error text for a JSON config body, as a worker reads it.
+        fn from_json_text(body: &str) -> String {
+            AppConfig::from_value(&sdl_conf::from_json(body).unwrap()).unwrap_err().to_string()
+        }
+    }
+
+    #[test]
+    fn counts_are_refused_out_of_range_not_wrapped() {
+        for key in ["samples", "batch"] {
+            for bad in ["0", "-1", "4294967296", "4294967297", "9223372036854775807"] {
+                let err = AppConfig::from_yaml(&format!("{key}: {bad}\n")).unwrap_err();
+                assert!(err.0.starts_with(&format!("{key} must be in 1..=4294967295")), "{err}");
+            }
+            let c = AppConfig::from_yaml(&format!("{key}: 4294967295\n")).unwrap();
+            assert_eq!(c.sample_budget.max(c.batch), u32::MAX);
+        }
+        let err = AppConfig::from_json_text(r#"{"samples": 4294967297}"#);
+        assert!(err.contains("samples must be in 1..=4294967295"), "{err}");
+    }
+
+    #[test]
+    fn wrong_types_are_refused_and_null_keeps_the_default() {
+        for doc in [
+            "samples: '4'\n",
+            "samples: 4.5\n",
+            "solver: 3\n",
+            "publish_images: yes\n",
+            "seed: 1.5\n",
+            "experiment: [a]\n",
+            "compute_seconds: fast\n",
+            "fault_action: high\n",
+        ] {
+            let err = AppConfig::from_yaml(doc).unwrap_err();
+            assert!(err.0.contains(" must be "), "{doc:?}: {err}");
+        }
+        let c = AppConfig::from_yaml("samples: ~\nsolver:\nmatch_threshold: null\n").unwrap();
+        assert_eq!(
+            (c.sample_budget, c.solver, c.match_threshold),
+            (128, SolverKind::Genetic, None)
+        );
+    }
+
+    #[test]
+    fn fault_keys_make_one_uniform_plan() {
+        for doc in [
+            "fault_reception: 0.1\nfault_action: 0.05\n",
+            "fault_action: 0.05\nfault_reception: 0.1\n",
+        ] {
+            let c = AppConfig::from_yaml(doc).unwrap();
+            assert_eq!(c.faults.rates_for("ot2"), FaultRates::new(0.1, 0.05));
+        }
+        let c = AppConfig::from_yaml("fault_action: 0.2\n").unwrap();
+        assert_eq!(c.faults.rates_for("pf400"), FaultRates::new(0.0, 0.2));
+        // Zero rates are no plan at all.
+        let mut c = AppConfig::from_yaml("fault_reception: 0.0\nfault_action: 0\n").unwrap();
+        assert!(c.faults.is_null());
+        c.set("fault_reception", &Value::Float(0.3)).unwrap();
+        c.set("fault_reception", &Value::Float(0.0)).unwrap();
+        assert!(c.faults.is_null() && c.to_value().get("fault_reception").is_none());
+        for bad in ["fault_reception: 1.5\n", "fault_action: -0.1\n"] {
+            assert!(AppConfig::from_yaml(bad).unwrap_err().0.contains("must be in [0, 1]"));
+        }
+    }
+
+    #[test]
+    fn seeds_above_i64_max_round_trip_as_negative_ints() {
+        let c = AppConfig { seed: u64::MAX - 5, ..AppConfig::default() };
+        assert_eq!(c.to_value().get("seed"), Some(&Value::Int(-6)));
+        assert_eq!(AppConfig::from_value(&c.to_value()).unwrap().seed, u64::MAX - 5);
+        assert_eq!(AppConfig::from_yaml("seed: -1\n").unwrap().seed, u64::MAX);
+        let mut c = AppConfig::default();
+        c.set_text("seed", "18446744073709551615").unwrap();
+        assert_eq!(c.seed, u64::MAX);
+        // The command line takes seeds as written: no sign, no wrap.
+        for bad in ["-1", "18446744073709551616", "1.5", ""] {
+            assert!(c.set_text("seed", bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn command_line_text_reads_like_a_document_value() {
+        let mut c = AppConfig::default();
+        c.set_text("samples", "4").unwrap();
+        c.set_text("batch", "2").unwrap();
+        c.set_text("target", "10, 20,30").unwrap();
+        c.set_text("fidelity", "lowres").unwrap();
+        c.set_text("solver", "bayes").unwrap();
+        assert_eq!((c.sample_budget, c.batch, c.target), (4, 2, Rgb8::new(10, 20, 30)));
+        assert_eq!((c.fidelity, c.solver), (Fidelity::Lowres, SolverKind::Bayesian));
+        for (key, bad) in [
+            ("samples", "0"),
+            ("batch", "0"),
+            ("samples", "abc"),
+            ("samples", "4294967297"),
+            ("target", "1,2"),
+            ("target", "300,0,0"),
+            ("fidelity", "hd"),
+            ("solver", ""),
+            ("solver", "#genetic"),
+        ] {
+            assert!(c.set_text(key, bad).is_err(), "{key} {bad:?}");
+        }
+        assert_eq!(c.set_text("solver", "").unwrap_err().0, "solver needs a value");
+    }
+
+    #[test]
+    fn a_builtin_solver_clears_a_custom_one() {
+        sdl_solvers::register_solver("config-clear-test", |dims| {
+            Box::new(sdl_solvers::RandomSolver::new(dims))
+        });
+        let mut c = AppConfig::from_yaml("solver: config-clear-test\n").unwrap();
+        assert_eq!(c.solver_label(), "config-clear-test");
+        c.set("solver", &Value::from("bayesian")).unwrap();
+        assert_eq!((c.custom_solver.as_deref(), c.solver_label()), (None, "bayesian"));
+        assert_eq!(c.build_solver(4).unwrap().name(), "bayesian");
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use campaign::{
     SingleTelemetry, StressKind, StressSuite, SweepItem, WorkerProgress, WorkerStats,
 };
 pub use chaos::{ChaosClock, ChaosPolicy, ChaosStream, WorkerFault};
-pub use config::{AppConfig, ConfigError};
+pub use config::{closest_name, AppConfig, ConfigError};
 pub use experiment::Experiment;
 pub use metrics::SdlMetrics;
 pub use multi::{multi_ot2_workcell_yaml, run_multi_ot2, MultiOt2Outcome};

@@ -402,6 +402,40 @@ fn records_stream_live_while_server_runs() {
 }
 
 #[test]
+fn worker_refuses_bad_session_configs_and_keeps_serving() {
+    // A session config is read by the same strict reader as a config file:
+    // unknown keys, non-map bodies, wrapped integers and nesting past the
+    // parser's limit are 400s, and the worker keeps serving afterwards.
+    let server = PortalServer::new(Arc::new(AcdcPortal::new()), Arc::new(BlobStore::in_memory()))
+        .with_lab(Arc::new(sdl_portal_server::LabHost::new()));
+    let handle = spawn(
+        server,
+        &ServerConfig { addr: "127.0.0.1:0".into(), threads: 2, ..ServerConfig::default() },
+    )
+    .unwrap();
+    let addr = handle.addr();
+    let deep = "[".repeat(200_000);
+    for (body, why) in [
+        (r#"{"samples": 4, "fidelty": "full"}"#, "did you mean 'fidelity'?"),
+        ("42", "must be a map, got int"),
+        ("[]", "must be a map, got sequence"),
+        (r#""x""#, "must be a map, got string"),
+        (r#"{"samples": 4294967297}"#, "samples must be in 1..=4294967295"),
+        (r#"{"batch": -1}"#, "batch must be in 1..=4294967295"),
+        (r#"{"samples": 4, "samples": 5}"#, "duplicate key 'samples'"),
+        (deep.as_str(), "nesting deeper than 128 levels"),
+    ] {
+        let resp = client::post(addr, "/v1/experiments", body).unwrap();
+        assert_eq!(resp.status, 400, "{}: {}", &body[..body.len().min(40)], resp.text());
+        assert!(resp.text().contains(why), "{}", resp.text());
+    }
+    assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+    let good = r#"{"samples": 4, "batch": 2, "publish_images": false}"#;
+    assert_eq!(client::post(addr, "/v1/experiments", good).unwrap().status, 200);
+    handle.shutdown();
+}
+
+#[test]
 fn protocol_errors_are_4xx() {
     let (handle, _) = live_server();
     let addr = handle.addr();

@@ -26,37 +26,181 @@
 //! sdl-lab help
 //! ```
 
-use sdl_lab::color::{Objective, Rgb8};
 use sdl_lab::core::{
-    batch_sweep, AppConfig, BackendSpec, CampaignConfig, CampaignReport, CampaignRunner,
-    CampaignScheduler, ChaosPolicy, ColorPickerApp, EventLog, EventRecord, Experiment, Leaderboard,
-    ProgressModel, StressKind, StressSuite,
+    batch_sweep, closest_name, AppConfig, BackendSpec, CampaignConfig, CampaignReport,
+    CampaignRunner, CampaignScheduler, ChaosPolicy, ColorPickerApp, EventLog, EventRecord,
+    Experiment, Leaderboard, ProgressModel, StressKind, StressSuite,
 };
 use sdl_lab::datapub::AcdcPortal;
-use sdl_lab::solvers::SolverKind;
-use sdl_lab::vision::Fidelity;
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+/// What a flag takes after its name.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Arg {
+    /// Nothing: the flag is a switch.
+    Switch,
+    /// A value.
+    Value,
+    /// A value for the config key it names, read by [`AppConfig::set_text`].
+    Setting(&'static str),
+}
+
+use Arg::{Setting, Switch, Value};
+
+/// The flags that build an application config (`run`, `sweep`, `stress`).
+/// `--flat-field` sets `flat_field: true`.
+const CONFIG_FLAGS: &[(&str, Arg)] = &[
+    ("--config", Value),
+    ("--samples", Setting("samples")),
+    ("--batch", Setting("batch")),
+    ("--solver", Setting("solver")),
+    ("--seed", Setting("seed")),
+    ("--target", Setting("target")),
+    ("--fidelity", Setting("fidelity")),
+    ("--flat-field", Switch),
+];
+const RUN_FLAGS: &[(&str, Arg)] = &[
+    ("--backend", Value),
+    ("--runlog-dir", Value),
+    ("--export-portal", Value),
+    ("--export-html", Value),
+    ("--blob-dir", Value),
+];
+const SWEEP_FLAGS: &[(&str, Arg)] = &[("--batches", Value), ("--threads", Value)];
+const CAMPAIGN_FLAGS: &[(&str, Arg)] = &[
+    ("--config", Value),
+    ("--resume", Value),
+    ("--threads", Value),
+    ("--workers", Value),
+    ("--shard", Value),
+    ("--export-portal", Value),
+    ("--fingerprint", Switch),
+    ("--event-log", Value),
+    ("--chaos", Value),
+    ("--failure-budget", Value),
+];
+const STRESS_FLAGS: &[(&str, Arg)] = &[
+    ("--solvers", Value),
+    ("--objectives", Value),
+    ("--kinds", Value),
+    ("--seeds", Value),
+    ("--threads", Value),
+    ("--workers", Value),
+    ("--shard", Value),
+    ("--event-log", Value),
+    ("--export-portal", Value),
+    ("--fingerprint", Switch),
+];
+const PORTAL_FLAGS: &[(&str, Arg)] =
+    &[("--import", Value), ("--experiment", Value), ("--run", Value)];
+const SERVE_FLAGS: &[(&str, Arg)] = &[
+    ("--import", Value),
+    ("--campaign", Value),
+    ("--addr", Value),
+    ("--threads", Value),
+    ("--campaign-threads", Value),
+    ("--blob-dir", Value),
+    ("--event-log", Value),
+    ("--chaos", Value),
+    ("--max-conns", Value),
+    ("--quota", Value),
+    ("--max-inflight", Value),
+    ("--blob-mem-cap", Value),
+];
+const WATCH_FLAGS: &[(&str, Arg)] = &[("--once", Switch), ("--interval-ms", Value)];
+
+/// A command's flags, parsed against the lists it declares. The same lists
+/// guard every lookup: reading a flag the command did not declare panics.
+struct Flags<'a> {
+    declared: Vec<(&'static str, Arg)>,
+    given: Vec<(&'static str, Option<&'a str>)>,
+}
+
+impl<'a> Flags<'a> {
+    /// Parse `args`. An unknown flag, a flag missing its value, a repeated
+    /// flag and a stray argument are errors. Only a `--` prefix marks a
+    /// flag, so `--seed -1` passes `-1` as a value.
+    fn parse(
+        command: &str,
+        args: &'a [String],
+        lists: &[&[(&'static str, Arg)]],
+    ) -> Result<Flags<'a>, String> {
+        let declared = lists.concat();
+        let mut given: Vec<(&'static str, Option<&'a str>)> = Vec::new();
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            let Some(&(name, arg_kind)) = declared.iter().find(|(name, _)| name == arg) else {
+                return Err(unknown_flag(command, arg, &declared));
+            };
+            if given.iter().any(|(seen, _)| *seen == name) {
+                return Err(format!("{name} is given twice"));
+            }
+            let value = match arg_kind {
+                Switch => None,
+                Value | Setting(_) => Some(
+                    rest.next()
+                        .filter(|v| !v.starts_with("--"))
+                        .ok_or_else(|| format!("{name} needs a value"))?
+                        .as_str(),
+                ),
+            };
+            given.push((name, value));
+        }
+        Ok(Flags { declared, given })
+    }
+
+    fn lookup(&self, name: &str) -> Option<Option<&'a str>> {
+        assert!(self.declared.iter().any(|(n, _)| *n == name), "undeclared flag {name}");
+        self.given.iter().find(|(n, _)| *n == name).map(|&(_, value)| value)
+    }
+
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.lookup(name).flatten()
+    }
+
+    fn present(&self, name: &str) -> bool {
+        self.lookup(name).is_some()
+    }
+}
+
+/// The error for an argument `command` does not declare: a did-you-mean
+/// hint, or else the flags it takes.
+fn unknown_flag(command: &str, arg: &str, declared: &[(&str, Arg)]) -> String {
+    if !arg.starts_with("--") {
+        return format!("unexpected argument '{arg}' for '{command}'");
+    }
+    let names = declared.iter().map(|(name, _)| *name);
+    match closest_name(arg, names.clone()) {
+        Some(flag) => format!("unknown flag '{arg}' for '{command}' (did you mean '{flag}'?)"),
+        None if declared.is_empty() => format!("'{command}' takes no flags, got '{arg}'"),
+        None => format!(
+            "unknown flag '{arg}' for '{command}' (it takes {})",
+            names.collect::<Vec<_>>().join(", ")
+        ),
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("help");
+    let rest = args.get(1..).unwrap_or_default();
+    let flags = |lists: &[&[(&'static str, Arg)]]| Flags::parse(command, rest, lists);
     let result = match command {
-        "run" => cmd_run(&args[1..]),
-        "sweep" => cmd_sweep(&args[1..]),
-        "campaign" => cmd_campaign(&args[1..]),
-        "stress" => cmd_stress(&args[1..]),
-        "portal" => cmd_portal(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "watch" => cmd_watch(&args[1..]),
-        "workcell" => {
+        "run" => flags(&[CONFIG_FLAGS, RUN_FLAGS]).and_then(|f| cmd_run(&f)),
+        "sweep" => flags(&[CONFIG_FLAGS, SWEEP_FLAGS]).and_then(|f| cmd_sweep(&f)),
+        "campaign" => flags(&[CAMPAIGN_FLAGS]).and_then(|f| cmd_campaign(&f)),
+        "stress" => flags(&[CONFIG_FLAGS, STRESS_FLAGS]).and_then(|f| cmd_stress(&f)),
+        "portal" => flags(&[PORTAL_FLAGS]).and_then(|f| cmd_portal(&f)),
+        "serve" => flags(&[SERVE_FLAGS]).and_then(|f| cmd_serve(&f)),
+        "watch" => cmd_watch(rest),
+        "workcell" => flags(&[]).map(|_| {
             println!("{}", sdl_lab::wei::RPL_WORKCELL_YAML);
             match sdl_lab::wei::WorkcellConfig::from_yaml(sdl_lab::wei::RPL_WORKCELL_YAML) {
                 Ok(cfg) => println!("{}", sdl_lab::wei::workcell_diagram(&cfg)),
                 Err(e) => eprintln!("diagram unavailable: {e}"),
             }
-            Ok(())
-        }
+        }),
         "help" | "--help" | "-h" => {
             print_help();
             Ok(())
@@ -88,6 +232,11 @@ commands:
   watch      live terminal dashboard for a serving campaign (reads /events)
   workcell   print the default workcell YAML
   help       this text
+
+Each command refuses a flag it does not take (with a did-you-mean hint), a
+flag given twice, and a flag missing its value; setting flags accept exactly
+the values the matching config key accepts (--samples 0 is refused as
+'samples: 0' is).
 
 run options:
   --samples N         sample budget (default 128)
@@ -245,14 +394,6 @@ observability example (live dashboard + crash resume):
     );
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
-}
-
-fn flag_present(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
 /// Parse a byte count with an optional `k`/`m`/`g` suffix (powers of 1024),
 /// e.g. `65536`, `64k`, `16m`.
 fn parse_bytes(s: &str) -> Result<usize, String> {
@@ -267,71 +408,56 @@ fn parse_bytes(s: &str) -> Result<usize, String> {
     n.checked_mul(mult).ok_or_else(|| "byte count overflows".to_string())
 }
 
-fn build_config(args: &[String]) -> Result<AppConfig, String> {
-    let mut config = match flag_value(args, "--config") {
+/// The application config from `--config FILE` and the setting flags,
+/// each flag set through the config key it maps onto.
+fn build_config(flags: &Flags) -> Result<AppConfig, String> {
+    let mut config = match flags.value("--config") {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            AppConfig::from_yaml(&text).map_err(|e| e.to_string())?
+            AppConfig::from_yaml(&text).map_err(|e| format!("{path}: {e}"))?
         }
         None => AppConfig::default(),
     };
-    if let Some(v) = flag_value(args, "--samples") {
-        config.sample_budget = v.parse().map_err(|_| format!("bad --samples '{v}'"))?;
-    }
-    if let Some(v) = flag_value(args, "--batch") {
-        config.batch = v.parse().map_err(|_| format!("bad --batch '{v}'"))?;
-    }
-    if let Some(v) = flag_value(args, "--solver") {
-        match SolverKind::parse(v) {
-            Some(kind) => config.solver = kind,
-            None if sdl_lab::solvers::solver_registered(v) => {
-                config.custom_solver = Some(v.to_string());
-            }
-            None => {
-                return Err(format!(
-                    "unknown solver '{v}' (registered solvers: {})",
-                    sdl_lab::solvers::registered_names()
-                ))
-            }
+    for &(flag, arg) in CONFIG_FLAGS {
+        if let (Setting(key), Some(text)) = (arg, flags.value(flag)) {
+            config.set_text(key, text).map_err(|e| format!("{flag}: {e}"))?;
         }
     }
-    if let Some(v) = flag_value(args, "--seed") {
-        config.seed = v.parse().map_err(|_| format!("bad --seed '{v}'"))?;
-    }
-    if let Some(v) = flag_value(args, "--target") {
-        let parts: Vec<u8> = v
-            .split(',')
-            .map(|p| p.trim().parse::<u8>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| format!("bad --target '{v}' (want R,G,B)"))?;
-        if parts.len() != 3 {
-            return Err(format!("bad --target '{v}' (want three components)"));
-        }
-        config.target = Rgb8::new(parts[0], parts[1], parts[2]);
-    }
-    if flag_present(args, "--flat-field") {
-        config.flat_field = true;
-    }
-    if let Some(v) = flag_value(args, "--fidelity") {
-        config.fidelity = Fidelity::parse(v).ok_or_else(|| {
-            format!("unknown fidelity '{v}' (valid: {})", Fidelity::valid_names())
-        })?;
+    if flags.present("--flat-field") {
+        config.set_text("flat_field", "true").map_err(|e| format!("--flat-field: {e}"))?;
     }
     Ok(config)
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let config = build_config(args)?;
-    let backend = match flag_value(args, "--backend") {
+/// A comma-separated list of values for config `key`, each read through
+/// the config setter; `read` takes the swept field from the result.
+fn setting_list<T>(
+    flag: &str,
+    key: &str,
+    list: &str,
+    read: impl Fn(&AppConfig) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    list.split(',')
+        .map(|text| {
+            let mut config = AppConfig::default();
+            config.set_text(key, text).map_err(|e| format!("{flag}: {e}"))?;
+            read(&config)
+        })
+        .collect()
+}
+
+fn cmd_run(flags: &Flags) -> Result<(), String> {
+    let config = build_config(flags)?;
+    let backend = match flags.value("--backend") {
         Some(v) => BackendSpec::parse(v).map_err(|e| e.to_string())?,
         None => BackendSpec::Sim,
     };
-    let runlog_dir = flag_value(args, "--runlog-dir").map(PathBuf::from);
+    let runlog_dir = flags.value("--runlog-dir").map(PathBuf::from);
     if runlog_dir.is_some() && backend != BackendSpec::Sim {
         return Err("--runlog-dir needs the sim backend (run logs live lab-side)".into());
     }
-    let export = flag_value(args, "--export-portal").map(PathBuf::from);
-    let export_html = flag_value(args, "--export-html").map(PathBuf::from);
+    let export = flags.value("--export-portal").map(PathBuf::from);
+    let export_html = flags.value("--export-html").map(PathBuf::from);
 
     eprintln!(
         "running {} samples, batch {}, solver {}, seed {}, backend {backend}...",
@@ -379,7 +505,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         println!("wrote HTML portal view to {}", path.display());
     }
-    if let Some(dir) = flag_value(args, "--blob-dir") {
+    if let Some(dir) = flags.value("--blob-dir") {
         let spill = sdl_lab::datapub::BlobStore::with_spill_dir(dir);
         outcome.store.merge_into(&spill);
         println!("spilled {} plate-image blobs to {dir}", spill.len());
@@ -387,28 +513,24 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn runner_for(args: &[String]) -> Result<CampaignRunner, String> {
+fn runner_for(flags: &Flags) -> Result<CampaignRunner, String> {
     let mut runner = CampaignRunner::new();
-    if let Some(v) = flag_value(args, "--threads") {
+    if let Some(v) = flags.value("--threads") {
         let t: usize = v.parse().map_err(|_| format!("bad --threads '{v}'"))?;
         runner = runner.threads(t);
     }
     Ok(runner)
 }
 
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let mut base = build_config(args)?;
+fn cmd_sweep(flags: &Flags) -> Result<(), String> {
+    let mut base = build_config(flags)?;
     base.publish_images = false;
-    let batches: Vec<u32> = match flag_value(args, "--batches") {
-        Some(v) => v
-            .split(',')
-            .map(|p| p.trim().parse::<u32>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| format!("bad --batches '{v}'"))?,
+    let batches: Vec<u32> = match flags.value("--batches") {
+        Some(list) => setting_list("--batches", "batch", list, |c| Ok(c.batch))?,
         None => vec![1, 2, 4, 8, 16, 32, 64],
     };
     eprintln!("running {} experiments of {} samples...", batches.len(), base.sample_budget);
-    let report = runner_for(args)?.run(batch_sweep(&base, &batches));
+    let report = runner_for(flags)?.run(batch_sweep(&base, &batches));
     println!("{:<6} {:>12} {:>10} {:>8}", "batch", "duration", "best", "plates");
     for result in &report.results {
         let out = result.outcome.as_ref().map_err(|e| format!("{}: {e}", result.label()))?;
@@ -423,17 +545,17 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_campaign(args: &[String]) -> Result<(), String> {
+fn cmd_campaign(flags: &Flags) -> Result<(), String> {
     // Resume mode: everything — the scenario matrix included — is
     // recovered from the event log, so --config is not accepted.
-    if let Some(log_path) = flag_value(args, "--resume") {
-        if flag_value(args, "--config").is_some() || flag_value(args, "--workers").is_some() {
+    if let Some(log_path) = flags.value("--resume") {
+        if flags.value("--config").is_some() || flags.value("--workers").is_some() {
             return Err(
                 "--resume recovers the scenario matrix from the log; drop --config/--workers"
                     .into(),
             );
         }
-        let runner = runner_for(args)?.progress(true);
+        let runner = runner_for(flags)?.progress(true);
         eprintln!("resuming campaign from {log_path}...");
         let (report, stats) = runner.resume(log_path).map_err(|e| e.to_string())?;
         if let Some(torn) = &stats.recovery.torn {
@@ -444,18 +566,17 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
             stats.recovery.events, stats.recovery.valid_bytes, stats.replayed, stats.redriven
         );
         println!("# campaign (resumed from {log_path})");
-        return finish_campaign(args, &report);
+        return finish_campaign(flags, &report);
     }
 
-    let path =
-        flag_value(args, "--config").ok_or("campaign needs --config FILE (or --resume LOG)")?;
+    let path = flags.value("--config").ok_or("campaign needs --config FILE (or --resume LOG)")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let config = CampaignConfig::from_yaml(&text).map_err(|e| e.to_string())?;
     let scenarios = config.scenarios();
     if scenarios.is_empty() {
         return Err("campaign expands to zero scenarios".into());
     }
-    let event_log = match flag_value(args, "--event-log") {
+    let event_log = match flags.value("--event-log") {
         Some(p) => {
             let log = EventLog::create(p).map_err(|e| e.to_string())?;
             eprintln!("appending campaign events to {p}");
@@ -466,17 +587,17 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
 
     // A worker pool (from --workers or the config's `workers:` key) selects
     // the distributed scheduler; otherwise the thread-pool runner.
-    let workers: Vec<String> = match flag_value(args, "--workers") {
+    let workers: Vec<String> = match flags.value("--workers") {
         Some(list) => {
             list.split(',').map(str::trim).filter(|w| !w.is_empty()).map(str::to_string).collect()
         }
         None => config.workers.clone(),
     };
-    let chaos = match flag_value(args, "--chaos") {
+    let chaos = match flags.value("--chaos") {
         Some(spec) => Some(ChaosPolicy::parse(spec).map_err(|e| format!("bad --chaos: {e}"))?),
         None => None,
     };
-    let failure_budget: Option<u32> = match flag_value(args, "--failure-budget") {
+    let failure_budget: Option<u32> = match flags.value("--failure-budget") {
         Some(v) => Some(v.parse().map_err(|_| format!("bad --failure-budget '{v}'"))?),
         None => None,
     };
@@ -488,11 +609,11 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         );
     }
     let report = if workers.is_empty() {
-        let mut runner = runner_for(args)?.progress(true).name(&config.name);
+        let mut runner = runner_for(flags)?.progress(true).name(&config.name);
         if let Some(log) = event_log {
             runner = runner.with_events(log);
         }
-        if flag_value(args, "--threads").is_none() {
+        if flags.value("--threads").is_none() {
             if let Some(t) = config.threads {
                 runner = runner.threads(t);
             }
@@ -515,7 +636,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         if let Some(budget) = failure_budget {
             scheduler = scheduler.failure_budget(budget);
         }
-        let shard = match flag_value(args, "--shard") {
+        let shard = match flags.value("--shard") {
             Some(v) => {
                 let s: usize = v.parse().map_err(|_| format!("bad --shard '{v}'"))?;
                 Some(s.max(1))
@@ -538,41 +659,26 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         report
     };
     println!("# campaign '{}'", config.name);
-    finish_campaign(args, &report)
+    finish_campaign(flags, &report)
 }
 
 /// `sdl-lab stress` — expand the built-in stress suite (objectives ×
 /// adversarial conditions × solvers × seeds) through the campaign engine
 /// and fold the report into a per-solver leaderboard.
-fn cmd_stress(args: &[String]) -> Result<(), String> {
-    let base = build_config(args)?;
+fn cmd_stress(flags: &Flags) -> Result<(), String> {
+    let base = build_config(flags)?;
     let base_seed = base.seed;
     let mut suite = StressSuite::new(base);
-    if let Some(list) = flag_value(args, "--solvers") {
-        suite.solvers = list
-            .split(',')
-            .map(|s| {
-                SolverKind::parse(s).ok_or_else(|| {
-                    format!("unknown solver '{}' (valid: {})", s.trim(), SolverKind::valid_names())
-                })
-            })
-            .collect::<Result<_, _>>()?;
+    if let Some(list) = flags.value("--solvers") {
+        suite.solvers = setting_list("--solvers", "solver", list, |c| match &c.custom_solver {
+            None => Ok(c.solver),
+            Some(name) => Err(format!("--solvers: '{name}' is not a built-in solver")),
+        })?;
     }
-    if let Some(list) = flag_value(args, "--objectives") {
-        suite.objectives = list
-            .split(',')
-            .map(|s| {
-                Objective::parse(s.trim()).ok_or_else(|| {
-                    format!(
-                        "unknown objective '{}' (valid: {})",
-                        s.trim(),
-                        Objective::valid_names()
-                    )
-                })
-            })
-            .collect::<Result<_, _>>()?;
+    if let Some(list) = flags.value("--objectives") {
+        suite.objectives = setting_list("--objectives", "objective", list, |c| Ok(c.objective))?;
     }
-    if let Some(list) = flag_value(args, "--kinds") {
+    if let Some(list) = flags.value("--kinds") {
         suite.kinds = list
             .split(',')
             .map(|s| {
@@ -586,7 +692,7 @@ fn cmd_stress(args: &[String]) -> Result<(), String> {
             })
             .collect::<Result<_, _>>()?;
     }
-    if let Some(v) = flag_value(args, "--seeds") {
+    if let Some(v) = flags.value("--seeds") {
         let k: u64 = v.parse().map_err(|_| format!("bad --seeds '{v}'"))?;
         if k == 0 {
             return Err("--seeds needs at least one replication".into());
@@ -598,7 +704,7 @@ fn cmd_stress(args: &[String]) -> Result<(), String> {
     }
     let scenarios = suite.scenarios();
 
-    let event_log = match flag_value(args, "--event-log") {
+    let event_log = match flags.value("--event-log") {
         Some(p) => {
             let log = EventLog::create(p).map_err(|e| e.to_string())?;
             eprintln!("appending campaign events to {p}");
@@ -606,14 +712,14 @@ fn cmd_stress(args: &[String]) -> Result<(), String> {
         }
         None => None,
     };
-    let workers: Vec<String> = match flag_value(args, "--workers") {
+    let workers: Vec<String> = match flags.value("--workers") {
         Some(list) => {
             list.split(',').map(str::trim).filter(|w| !w.is_empty()).map(str::to_string).collect()
         }
         None => Vec::new(),
     };
     let report = if workers.is_empty() {
-        let mut runner = runner_for(args)?.progress(true).name("stress");
+        let mut runner = runner_for(flags)?.progress(true).name("stress");
         if let Some(log) = event_log {
             runner = runner.with_events(log);
         }
@@ -633,7 +739,7 @@ fn cmd_stress(args: &[String]) -> Result<(), String> {
         if let Some(log) = event_log {
             scheduler = scheduler.with_events(log);
         }
-        if let Some(v) = flag_value(args, "--shard") {
+        if let Some(v) = flags.value("--shard") {
             let s: usize = v.parse().map_err(|_| format!("bad --shard '{v}'"))?;
             scheduler = scheduler.shard_size(s.max(1));
         }
@@ -656,18 +762,18 @@ fn cmd_stress(args: &[String]) -> Result<(), String> {
     println!("# stress leaderboard");
     println!("{}", board.render_table());
     println!();
-    finish_campaign(args, &report)
+    finish_campaign(flags, &report)
 }
 
 /// The shared tail of `campaign` and `campaign --resume`: summary table,
 /// optional fingerprint and portal export, nonzero exit on failures.
-fn finish_campaign(args: &[String], report: &CampaignReport) -> Result<(), String> {
+fn finish_campaign(flags: &Flags, report: &CampaignReport) -> Result<(), String> {
     println!("{}", report.summary_table());
     let failed = report.results.iter().filter(|r| r.outcome.is_err()).count();
-    if flag_present(args, "--fingerprint") {
+    if flags.present("--fingerprint") {
         println!("fingerprint:\n{}", report.fingerprint());
     }
-    if let Some(path) = flag_value(args, "--export-portal") {
+    if let Some(path) = flags.value("--export-portal") {
         let n =
             report.portal.export_jsonl(std::path::Path::new(path)).map_err(|e| e.to_string())?;
         println!("exported {n} portal records to {path}");
@@ -678,13 +784,13 @@ fn finish_campaign(args: &[String], report: &CampaignReport) -> Result<(), Strin
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(flags: &Flags) -> Result<(), String> {
     use sdl_lab::datapub::{AcdcPortal, BlobStore};
     use sdl_lab::portal_server::{spawn, LabHost, PortalServer, QuotaPolicy, ServerConfig};
     use std::sync::Arc;
 
-    let import = flag_value(args, "--import");
-    let campaign = flag_value(args, "--campaign");
+    let import = flags.value("--import");
+    let campaign = flags.value("--campaign");
     if import.is_some() && campaign.is_some() {
         return Err("serve takes at most one of --import FILE or --campaign FILE".into());
     }
@@ -695,11 +801,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
 
     let portal = Arc::new(AcdcPortal::new());
-    let mem_cap = match flag_value(args, "--blob-mem-cap") {
+    let mem_cap = match flags.value("--blob-mem-cap") {
         Some(v) => Some(parse_bytes(v).map_err(|e| format!("bad --blob-mem-cap '{v}': {e}"))?),
         None => None,
     };
-    let store: Arc<BlobStore> = match flag_value(args, "--blob-dir") {
+    let store: Arc<BlobStore> = match flags.value("--blob-dir") {
         Some(dir) => {
             let mut store = BlobStore::open_spill_dir(dir).map_err(|e| format!("{dir}: {e}"))?;
             if let Some(cap) = mem_cap {
@@ -722,7 +828,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         eprintln!("loaded {n} records from {path}");
     }
 
-    if flag_value(args, "--event-log").is_some() && campaign.is_none() {
+    if flags.value("--event-log").is_some() && campaign.is_none() {
         return Err("--event-log needs --campaign FILE (the log records campaign events)".into());
     }
 
@@ -740,7 +846,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
         // The live /events feed and dashboard always get a log; --event-log
         // additionally makes it durable (and the campaign crash-resumable).
-        let log = match flag_value(args, "--event-log") {
+        let log = match flags.value("--event-log") {
             Some(p) => {
                 eprintln!("appending campaign events to {p}");
                 Arc::new(EventLog::create(p).map_err(|e| e.to_string())?)
@@ -755,7 +861,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .name(&config.name)
             .publish_records(true)
             .progress(true);
-        match flag_value(args, "--campaign-threads") {
+        match flags.value("--campaign-threads") {
             Some(v) => {
                 let t: usize = v.parse().map_err(|_| format!("bad --campaign-threads '{v}'"))?;
                 runner = runner.threads(t);
@@ -784,32 +890,32 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
 
     let mut config = ServerConfig { addr: "127.0.0.1:8323".into(), ..ServerConfig::default() };
-    if let Some(addr) = flag_value(args, "--addr") {
+    if let Some(addr) = flags.value("--addr") {
         config.addr = addr.to_string();
     }
-    if let Some(v) = flag_value(args, "--threads") {
+    if let Some(v) = flags.value("--threads") {
         config.threads = v.parse().map_err(|_| format!("bad --threads '{v}'"))?;
     }
-    if let Some(v) = flag_value(args, "--max-conns") {
+    if let Some(v) = flags.value("--max-conns") {
         config.max_conns = v.parse().map_err(|_| format!("bad --max-conns '{v}'"))?;
     }
 
     // Every served portal also hosts the batch-execution API, so any
     // `sdl-lab serve` process doubles as a lab worker for remote sessions.
     let mut lab = LabHost::new();
-    if let Some(spec) = flag_value(args, "--chaos") {
+    if let Some(spec) = flags.value("--chaos") {
         let policy = ChaosPolicy::parse(spec).map_err(|e| format!("bad --chaos: {e}"))?;
         if !policy.is_noop() {
             eprintln!("worker chaos armed: {spec}");
         }
         lab = lab.with_chaos(policy);
     }
-    if let Some(spec) = flag_value(args, "--quota") {
+    if let Some(spec) = flags.value("--quota") {
         let quota = QuotaPolicy::parse(spec).map_err(|e| format!("bad --quota: {e}"))?;
         eprintln!("per-tenant quota armed: {spec} (over budget answers 429 + Retry-After)");
         lab = lab.with_quota(quota);
     }
-    if let Some(v) = flag_value(args, "--max-inflight") {
+    if let Some(v) = flags.value("--max-inflight") {
         let n: u64 = v.parse().map_err(|_| format!("bad --max-inflight '{v}'"))?;
         lab = lab.with_max_inflight(n);
     }
@@ -912,9 +1018,10 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
         Some(u) if !u.starts_with("--") => u,
         _ => return Err("watch needs a server URL (e.g. http://127.0.0.1:8323)".into()),
     };
+    let flags = Flags::parse("watch", &args[1..], &[WATCH_FLAGS])?;
     let addr = url.strip_prefix("http://").unwrap_or(url).trim_end_matches('/').to_string();
-    let once = flag_present(args, "--once");
-    let interval: u64 = match flag_value(args, "--interval-ms") {
+    let once = flags.present("--once");
+    let interval: u64 = match flags.value("--interval-ms") {
         Some(v) => v.parse().map_err(|_| format!("bad --interval-ms '{v}'"))?,
         None => 500,
     };
@@ -1026,12 +1133,12 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_portal(args: &[String]) -> Result<(), String> {
-    let path = flag_value(args, "--import").ok_or("portal needs --import FILE")?;
+fn cmd_portal(flags: &Flags) -> Result<(), String> {
+    let path = flags.value("--import").ok_or("portal needs --import FILE")?;
     let portal = AcdcPortal::new();
     let n = portal.import_jsonl(std::path::Path::new(path)).map_err(|e| e.to_string())?;
     eprintln!("loaded {n} records");
-    let experiment = match flag_value(args, "--experiment") {
+    let experiment = match flags.value("--experiment") {
         Some(id) => id.to_string(),
         None => portal
             .find("kind", "experiment")
@@ -1043,7 +1150,7 @@ fn cmd_portal(args: &[String]) -> Result<(), String> {
             .ok_or("no experiment records in file")?,
     };
     println!("{}", portal.summary_view(&experiment));
-    if let Some(run) = flag_value(args, "--run") {
+    if let Some(run) = flags.value("--run") {
         let run: u32 = run.parse().map_err(|_| format!("bad --run '{run}'"))?;
         println!("{}", portal.run_detail(&experiment, run));
     }

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use sdl_lab::color::{MixKind, Objective, Rgb8};
 use sdl_lab::conf::ValueExt;
 use sdl_lab::core::{
-    AppConfig, BackendSpec, CampaignConfig, CampaignRunner, RunMode, ScenarioSpec,
+    run_one, AppConfig, BackendSpec, CampaignConfig, CampaignRunner, RunMode, ScenarioSpec,
 };
 use sdl_lab::desim::{FaultPlan, FaultRates};
 use sdl_lab::solvers::SolverKind;
@@ -111,6 +111,45 @@ fn declarative_matrix_runs_end_to_end() {
     let report = CampaignRunner::new().threads(2).run(scenarios);
     for (label, outcome) in report.expect_all() {
         assert_eq!(outcome.samples_measured(), 4, "{label}");
+    }
+}
+
+#[test]
+fn solver_axis_runs_the_solver_each_label_names() {
+    // A built-in axis entry over a base that names a registered custom
+    // solver must run the built-in; the custom entry runs the custom one.
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static BUILT: AtomicUsize = AtomicUsize::new(0);
+    sdl_lab::solvers::register_solver("axis-custom", |dims| {
+        BUILT.fetch_add(1, Ordering::SeqCst);
+        Box::new(sdl_lab::solvers::RandomSolver::new(dims))
+    });
+    let config = CampaignConfig::from_yaml(
+        "samples: 4\nbatch: 2\nseed: 3\npublish_images: false\nsolver: axis-custom\n\
+         solvers: [genetic, bayesian, axis-custom]\n",
+    )
+    .unwrap();
+    let scenarios = config.scenarios();
+    let labels: Vec<&str> = scenarios.iter().map(|s| s.label.as_str()).collect();
+    assert_eq!(labels, ["genetic/b2/s3", "bayesian/b2/s3", "axis-custom/b2/s3"]);
+    for spec in &scenarios {
+        let before = BUILT.load(Ordering::SeqCst);
+        let outcome = run_one(spec.config.clone()).unwrap();
+        let custom_ran = BUILT.load(Ordering::SeqCst) > before;
+        assert_eq!(custom_ran, spec.label.starts_with("axis-custom/"), "{}", spec.label);
+        if let Some(kind) = SolverKind::parse(spec.label.split('/').next().unwrap()) {
+            let plain = AppConfig {
+                sample_budget: 4,
+                batch: 2,
+                seed: 3,
+                publish_images: false,
+                solver: kind,
+                ..AppConfig::default()
+            };
+            let named = run_one(plain).unwrap();
+            assert_eq!(outcome.best_ratios, named.best_ratios, "{}", spec.label);
+            assert_eq!(outcome.best_score.to_bits(), named.best_score.to_bits(), "{}", spec.label);
+        }
     }
 }
 
