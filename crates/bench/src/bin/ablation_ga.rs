@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sdl_bench::{mean, stddev, table};
+use sdl_bench::{mean, parse_flags, stddev, table};
 use sdl_color::{BeerLambert, DyeSet, MixModel, Recipe, Rgb8};
 use sdl_solvers::{best_observation, ColorSolver, GeneticSolver, Observation};
 
@@ -40,6 +40,7 @@ fn run_loop(elite_replication: bool, batch: usize, budget: usize, seed: u64) -> 
 }
 
 fn main() {
+    parse_flags(&[]);
     let seeds: Vec<u64> = (1..=10).collect();
     let mut rows = Vec::new();
     for batch in [4usize, 8, 16] {

@@ -6,12 +6,15 @@
 //!
 //! Usage: `cargo run --release -p sdl-bench --bin ablation_mixing [--samples 64]`
 
-use sdl_bench::{arg_or, mean, stddev, table};
+use sdl_bench::{flag_or, mean, parse_flags, stddev, table};
 use sdl_color::MixKind;
-use sdl_core::{AppConfig, CampaignRunner, ScenarioSpec};
+use sdl_core::{AppConfig, Arg, CampaignRunner, ScenarioSpec};
+
+const FLAGS: &[(&str, Arg)] = &[("--samples", Arg::Value)];
 
 fn main() {
-    let samples: u32 = arg_or("--samples", 64);
+    let flags = parse_flags(FLAGS);
+    let samples: u32 = flag_or(&flags, "--samples", 64);
     let seeds = [1u64, 2, 3];
     let models = [MixKind::BeerLambert, MixKind::KubelkaMunk, MixKind::Spectral, MixKind::Linear];
     let mut scenarios = Vec::new();

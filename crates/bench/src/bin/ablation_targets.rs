@@ -6,13 +6,16 @@
 //!
 //! Usage: `cargo run --release -p sdl-bench --bin ablation_targets [--samples 48]`
 
-use sdl_bench::{arg_or, table};
+use sdl_bench::{flag_or, parse_flags, table};
 use sdl_color::Rgb8;
-use sdl_core::{AppConfig, CampaignRunner, ScenarioSpec};
+use sdl_core::{AppConfig, Arg, CampaignRunner, ScenarioSpec};
 use sdl_solvers::SolverKind;
 
+const FLAGS: &[(&str, Arg)] = &[("--samples", Arg::Value)];
+
 fn main() {
-    let samples: u32 = arg_or("--samples", 48);
+    let flags = parse_flags(FLAGS);
+    let samples: u32 = flag_or(&flags, "--samples", 48);
     let targets = [
         ("paper mid-gray", Rgb8::new(120, 120, 120)),
         ("light gray", Rgb8::new(200, 200, 200)),

@@ -7,7 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sdl_bench::{mean, table};
+use sdl_bench::{mean, parse_flags, table};
 use sdl_color::LinRgb;
 use sdl_vision::{render, Detector, DetectorParams, PlateScene, Pose};
 
@@ -30,6 +30,7 @@ fn scene(fill: usize, seed: u64) -> (PlateScene, Vec<Option<LinRgb>>) {
 }
 
 fn main() {
+    parse_flags(&[]);
     let jitters = [(0.0f64, 0.0f64), (3.0, 0.5), (5.0, 1.0), (6.0, 1.2)];
     let mut rows = Vec::new();
     for (shift, rot) in jitters {

@@ -8,6 +8,7 @@
 use sdl_core::{AppConfig, CampaignRunner, ScenarioSpec};
 
 fn main() {
+    sdl_bench::parse_flags(&[]);
     // 12 iterations of 15 samples = 180; each iteration is one portal "run".
     let config =
         AppConfig { sample_budget: 180, batch: 15, publish_images: true, ..AppConfig::default() };

@@ -6,11 +6,14 @@
 //!
 //! Usage: `cargo run --release -p sdl-bench --bin fig4 [--samples 128]`
 
-use sdl_bench::{arg_or, ascii_plot, csv, table, Series};
-use sdl_core::{batch_sweep, AppConfig, CampaignRunner};
+use sdl_bench::{ascii_plot, csv, flag_or, parse_flags, table, Series};
+use sdl_core::{batch_sweep, AppConfig, Arg, CampaignRunner};
+
+const FLAGS: &[(&str, Arg)] = &[("--samples", Arg::Value)];
 
 fn main() {
-    let samples: u32 = arg_or("--samples", 128);
+    let flags = parse_flags(FLAGS);
+    let samples: u32 = flag_or(&flags, "--samples", 128);
     let base = AppConfig { sample_budget: samples, publish_images: false, ..AppConfig::default() };
     let batches = [1u32, 2, 4, 8, 16, 32, 64];
     eprintln!("running {} experiments of {samples} samples each...", batches.len());

@@ -22,10 +22,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sdl_bench::{arg_or, median, percentile};
+use sdl_bench::{flag_or, median, parse_flags, percentile};
 use sdl_color::{ciede2000, Jab, Lab, Rgb8};
 use sdl_conf::{from_json, to_json_pretty, Value, ValueExt};
-use sdl_core::{AppConfig, CampaignEvent, EventLog, Experiment, LabBackend, SimBackend};
+use sdl_core::{AppConfig, Arg, CampaignEvent, EventLog, Experiment, LabBackend, SimBackend};
 use sdl_solvers::SolverKind;
 use std::time::Instant;
 
@@ -222,14 +222,17 @@ fn check(path: &str) {
     println!("{path}: OK");
 }
 
+const FLAGS: &[(&str, Arg)] =
+    &[("--check", Arg::OptionalValue), ("--smoke", Arg::Switch), ("--out", Arg::Value)];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--check") {
-        check(args.get(i + 1).map(String::as_str).unwrap_or("BENCH_hotpath.json"));
+    let flags = parse_flags(FLAGS);
+    if flags.present("--check") {
+        check(&flag_or(&flags, "--check", "BENCH_hotpath.json".to_string()));
         return;
     }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = arg_or("--out", "BENCH_hotpath.json".to_string());
+    let smoke = flags.present("--smoke");
+    let out_path = flag_or(&flags, "--out", "BENCH_hotpath.json".to_string());
 
     let mut doc = Value::map();
     doc.set("schema", "sdl-hotpath/2");

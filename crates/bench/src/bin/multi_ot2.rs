@@ -8,12 +8,15 @@
 //! Usage: `cargo run --release -p sdl-bench --bin multi_ot2
 //!         [--samples 64] [--batch 1]`
 
-use sdl_bench::{arg_or, table};
-use sdl_core::{AppConfig, CampaignRunner, ScenarioSpec};
+use sdl_bench::{flag_or, parse_flags, table};
+use sdl_core::{AppConfig, Arg, CampaignRunner, ScenarioSpec};
+
+const FLAGS: &[(&str, Arg)] = &[("--samples", Arg::Value), ("--batch", Arg::Value)];
 
 fn main() {
-    let samples: u32 = arg_or("--samples", 64);
-    let batch: u32 = arg_or("--batch", 1);
+    let flags = parse_flags(FLAGS);
+    let samples: u32 = flag_or(&flags, "--samples", 64);
+    let batch: u32 = flag_or(&flags, "--batch", 1);
     let base =
         AppConfig { sample_budget: samples, batch, publish_images: false, ..AppConfig::default() };
 

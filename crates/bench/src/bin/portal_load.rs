@@ -14,12 +14,21 @@
 //! `BENCH_hotpath.json`).
 
 use bytes::Bytes;
-use sdl_bench::{arg_or, mean, percentile, table};
+use sdl_bench::{flag_or, mean, parse_flags, percentile, table};
+use sdl_core::Arg;
 use sdl_datapub::{AcdcPortal, BlobStore, ExperimentRecord, SampleRecord};
 use sdl_portal_server::client::HttpClient;
 use sdl_portal_server::{spawn, PortalServer, ServerConfig};
 use std::sync::Arc;
 use std::time::Instant;
+
+const FLAGS: &[(&str, Arg)] = &[
+    ("--clients", Arg::Value),
+    ("--requests", Arg::Value),
+    ("--records", Arg::Value),
+    ("--threads", Arg::Value),
+    ("--max-conns", Arg::Value),
+];
 
 fn seed_portal(records: usize) -> (Arc<AcdcPortal>, Arc<BlobStore>, String) {
     let portal = Arc::new(AcdcPortal::new());
@@ -76,10 +85,11 @@ fn endpoint_for(i: usize, blob: &str, records: usize) -> (usize, String) {
 }
 
 fn main() {
-    let clients: usize = arg_or("--clients", 8);
-    let requests: usize = arg_or("--requests", 500);
-    let records: usize = arg_or("--records", 5000);
-    let threads: usize = arg_or("--threads", 8);
+    let flags = parse_flags(FLAGS);
+    let clients: usize = flag_or(&flags, "--clients", 8);
+    let requests: usize = flag_or(&flags, "--requests", 500);
+    let records: usize = flag_or(&flags, "--records", 5000);
+    let threads: usize = flag_or(&flags, "--threads", 8);
 
     if clients > threads {
         eprintln!(
@@ -91,7 +101,7 @@ fn main() {
 
     let (portal, store, blob) = seed_portal(records);
     let total_records = portal.len();
-    let max_conns: usize = arg_or("--max-conns", 0);
+    let max_conns: usize = flag_or(&flags, "--max-conns", 0);
     let server = PortalServer::new(portal, store);
     let handle = spawn(
         server,

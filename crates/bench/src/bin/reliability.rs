@@ -6,12 +6,15 @@
 //!
 //! Usage: `cargo run --release -p sdl-bench --bin reliability [--samples 48]`
 
-use sdl_bench::{arg_or, mean, table};
-use sdl_core::{AppConfig, CampaignRunner, ScenarioSpec};
+use sdl_bench::{flag_or, mean, parse_flags, table};
+use sdl_core::{AppConfig, Arg, CampaignRunner, ScenarioSpec};
 use sdl_desim::{FaultPlan, FaultRates};
 
+const FLAGS: &[(&str, Arg)] = &[("--samples", Arg::Value)];
+
 fn main() {
-    let samples: u32 = arg_or("--samples", 48);
+    let flags = parse_flags(FLAGS);
+    let samples: u32 = flag_or(&flags, "--samples", 48);
     let rates = [0.0, 0.01, 0.02, 0.05, 0.10, 0.20];
     let seeds = [7u64, 21, 63];
     let mut scenarios = Vec::new();

@@ -7,14 +7,18 @@
 //! Usage: `cargo run --release -p sdl-bench --bin solver_compare
 //!         [--samples 64] [--batch 4] [--seeds 5]`
 
-use sdl_bench::{arg_or, mean, median, stddev, table};
-use sdl_core::{solver_sweep, AppConfig, CampaignRunner};
+use sdl_bench::{flag_or, mean, median, parse_flags, stddev, table};
+use sdl_core::{solver_sweep, AppConfig, Arg, CampaignRunner};
 use sdl_solvers::SolverKind;
 
+const FLAGS: &[(&str, Arg)] =
+    &[("--samples", Arg::Value), ("--batch", Arg::Value), ("--seeds", Arg::Value)];
+
 fn main() {
-    let samples: u32 = arg_or("--samples", 64);
-    let batch: u32 = arg_or("--batch", 4);
-    let n_seeds: u64 = arg_or("--seeds", 5);
+    let flags = parse_flags(FLAGS);
+    let samples: u32 = flag_or(&flags, "--samples", 64);
+    let batch: u32 = flag_or(&flags, "--batch", 4);
+    let n_seeds: u64 = flag_or(&flags, "--seeds", 5);
     let base =
         AppConfig { sample_budget: samples, batch, publish_images: false, ..AppConfig::default() };
     let solvers =

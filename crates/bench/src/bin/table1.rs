@@ -4,12 +4,15 @@
 //!
 //! Usage: `cargo run --release -p sdl-bench --bin table1 [--samples 128]`
 
-use sdl_bench::{arg_or, table};
-use sdl_core::{AppConfig, CampaignRunner, ScenarioSpec};
+use sdl_bench::{flag_or, parse_flags, table};
+use sdl_core::{AppConfig, Arg, CampaignRunner, ScenarioSpec};
 use sdl_desim::SimDuration;
 
+const FLAGS: &[(&str, Arg)] = &[("--samples", Arg::Value)];
+
 fn main() {
-    let samples: u32 = arg_or("--samples", 128);
+    let flags = parse_flags(FLAGS);
+    let samples: u32 = flag_or(&flags, "--samples", 128);
     let config = AppConfig {
         sample_budget: samples,
         batch: 1,

@@ -155,29 +155,31 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// The value after the first `name` in `args`, parsed; `default` when
-/// `name` is absent. A missing or unparsable value is an error that names
-/// the flag.
-pub fn flag_value<T: std::str::FromStr>(
-    args: &[String],
-    name: &str,
-    default: T,
-) -> Result<T, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(default);
-    };
-    let value = args.get(i + 1).ok_or_else(|| format!("{name} needs a value"))?;
-    value.parse().map_err(|_| format!("{name}: cannot parse '{value}'"))
+use sdl_core::{Arg, Flags};
+
+/// The process's command line, checked against the flags the binary
+/// declares (see [`Flags::parse`]). On an error it prints the error and
+/// exits with status 1.
+pub fn parse_flags(declared: &[(&'static str, Arg)]) -> Flags {
+    let mut args = std::env::args();
+    let program = args.next().unwrap_or_default();
+    let bin = std::path::Path::new(&program)
+        .file_name()
+        .map_or(program.clone(), |name| name.to_string_lossy().into_owned());
+    let args: Vec<String> = args.collect();
+    Flags::parse(&bin, &args, &[declared]).unwrap_or_else(|e| exit_with(&e))
 }
 
-/// [`flag_value`] over the command line. On an error it prints the error
-/// and exits with status 1.
-pub fn arg_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    let args: Vec<String> = std::env::args().collect();
-    flag_value(&args, name, default).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1)
-    })
+/// The value given for flag `name`, parsed; `default` when there is none.
+/// On an unparsable value it prints an error naming the flag and exits
+/// with status 1.
+pub fn flag_or<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> T {
+    flags.parsed(name, default).unwrap_or_else(|e| exit_with(&e))
+}
+
+fn exit_with(error: &str) -> ! {
+    eprintln!("error: {error}");
+    std::process::exit(1)
 }
 
 #[cfg(test)]
@@ -227,19 +229,59 @@ mod tests {
         assert!(percentile(&[], 50.0).is_nan());
     }
 
+    fn args(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
+
+    const TABLE1: &[(&str, Arg)] = &[("--samples", Arg::Value)];
+    const HOTPATH: &[(&str, Arg)] =
+        &[("--check", Arg::OptionalValue), ("--smoke", Arg::Switch), ("--out", Arg::Value)];
+
     #[test]
     fn flag_values_parse_or_name_the_flag() {
-        let args = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
-        assert_eq!(flag_value(&args("table1 --samples 16"), "--samples", 128u32), Ok(16));
-        assert_eq!(flag_value(&args("table1"), "--samples", 128u32), Ok(128));
+        let samples = |line: &str| {
+            Flags::parse("table1", &args(line), &[TABLE1])?.parsed("--samples", 128u32)
+        };
+        assert_eq!(samples("--samples 16"), Ok(16));
+        assert_eq!(samples(""), Ok(128));
+        assert_eq!(samples("--samples"), Err("--samples needs a value".to_string()));
+        assert_eq!(samples("--samples abc"), Err("--samples: cannot parse 'abc'".to_string()));
+    }
+
+    #[test]
+    fn unknown_repeated_valueless_and_stray_arguments_are_refused() {
+        let err = |declared, line: &str| Flags::parse("bin", &args(line), &[declared]).unwrap_err();
         assert_eq!(
-            flag_value(&args("table1 --samples"), "--samples", 128u32),
-            Err("--samples needs a value".to_string())
+            err(TABLE1, "--sampels 4"),
+            "unknown flag '--sampels' for 'bin' (did you mean '--samples'?)"
         );
         assert_eq!(
-            flag_value(&args("table1 --samples abc"), "--samples", 128u32),
-            Err("--samples: cannot parse 'abc'".to_string())
+            err(TABLE1, "--clients 4"),
+            "unknown flag '--clients' for 'bin' (it takes --samples)"
         );
+        assert_eq!(err(TABLE1, "--samples 4 --samples 8"), "--samples is given twice");
+        assert_eq!(err(TABLE1, "--samples --samples 8"), "--samples needs a value");
+        assert_eq!(err(TABLE1, "--samples 4 extra"), "unexpected argument 'extra' for 'bin'");
+        assert_eq!(err(&[], "--samples 4"), "'bin' takes no flags, got '--samples'");
+        assert_eq!(err(&[], "4"), "unexpected argument '4' for 'bin'");
+        assert_eq!(err(HOTPATH, "--smoke --smoke"), "--smoke is given twice");
+        assert!(Flags::parse("bin", &[], &[&[]]).is_ok());
+    }
+
+    #[test]
+    fn hotpath_check_takes_an_optional_path() {
+        let parse = |line: &str| Flags::parse("hotpath", &args(line), &[HOTPATH]).unwrap();
+        let check = |f: &Flags| f.parsed("--check", "BENCH_hotpath.json".to_string()).unwrap();
+        let bare = parse("--check");
+        assert!(bare.present("--check") && !bare.present("--smoke"));
+        assert_eq!(check(&bare), "BENCH_hotpath.json");
+        assert_eq!(check(&parse("--check out.json")), "out.json");
+        let before_switch = parse("--check --smoke");
+        assert_eq!(check(&before_switch), "BENCH_hotpath.json");
+        assert!(before_switch.present("--smoke"));
+        let run = parse("--smoke --out o.json");
+        assert!(!run.present("--check"));
+        assert_eq!(run.value("--out"), Some("o.json"));
     }
 
     #[test]

@@ -21,6 +21,10 @@ use crate::rgb::{linear_to_srgb, LinRgb, Rgb8};
 /// than one cutpoint and a lookup resolves with at most one comparison.
 const BINS: usize = 4096;
 
+/// `2^52`: adding it to an integer-valued f64 in `[0, 2^52)` leaves that
+/// integer in the low mantissa bits.
+const TWO_POW_52: f64 = (1u64 << 52) as f64;
+
 /// The reference encode this table reproduces exactly.
 #[inline]
 fn reference_encode(l: f64) -> u8 {
@@ -36,6 +40,10 @@ pub struct SrgbQuantizer {
     /// `index[i]` is the encode of the left edge of bin `i` — the starting
     /// guess a lookup refines with a single cutpoint comparison.
     index: Box<[u8; BINS]>,
+    /// `bin_cut[i]` is `cut[index[i]]`, the one cutpoint a lookup in bin
+    /// `i` compares against: stored per bin, it loads independently of
+    /// `index[i]` instead of through it.
+    bin_cut: Box<[f64; BINS]>,
 }
 
 impl Default for SrgbQuantizer {
@@ -52,10 +60,12 @@ impl SrgbQuantizer {
             *slot = smallest_encoding_above(k as u8);
         }
         let mut index = Box::new([0u8; BINS]);
-        for (i, slot) in index.iter_mut().enumerate() {
+        let mut bin_cut = Box::new([0.0; BINS]);
+        for (i, (slot, c)) in index.iter_mut().zip(bin_cut.iter_mut()).enumerate() {
             *slot = reference_encode(i as f64 / BINS as f64);
+            *c = cut[*slot as usize];
         }
-        SrgbQuantizer { cut, index }
+        SrgbQuantizer { cut, index, bin_cut }
     }
 
     /// The cutpoints (ascending; the last entry is the `+∞` sentinel).
@@ -67,11 +77,27 @@ impl SrgbQuantizer {
     /// Bit-identical to `(linear_to_srgb(l) * 255.0).round() as u8`.
     #[inline]
     pub fn encode_channel(&self, l: f64) -> u8 {
-        let bin = ((l * BINS as f64) as usize).min(BINS - 1);
-        let k = self.index[bin];
+        // The bin is `l · BINS` truncated and clamped to the table (NaN and
+        // negatives to 0), as `(x as usize).min(BINS - 1)` would give. A
+        // saturating float-to-int `as` cast compiles to a scalar sequence
+        // per value; clamping and flooring in floats, then reading the
+        // integer out of the mantissa of `f + 2^52`, stays in vector
+        // registers.
+        let f = (l * BINS as f64).max(0.0).min((BINS - 1) as f64).floor();
+        let bin = (f + TWO_POW_52).to_bits() as usize & (BINS - 1);
         // At most one cutpoint lies inside a bin, so one comparison
-        // finishes the job; the sentinel makes k == 255 safe.
-        k + (l >= self.cut[k as usize]) as u8
+        // finishes the job; the sentinel makes a bin that starts at 255
+        // safe.
+        self.index[bin] + (l >= self.bin_cut[bin]) as u8
+    }
+
+    /// Encode a row of clamped linear channels: `out[i]` is
+    /// `encode_channel(lin[i])`.
+    pub fn encode_row(&self, lin: &[f64], out: &mut [u8]) {
+        assert_eq!(lin.len(), out.len(), "one output byte per channel");
+        for (o, &l) in out.iter_mut().zip(lin) {
+            *o = self.encode_channel(l);
+        }
     }
 
     /// Encode a linear color (clamping out-of-gamut values), bit-identical
@@ -166,6 +192,18 @@ mod tests {
         for i in 0..=200_000u64 {
             let l = i as f64 / 200_000.0;
             assert_eq!(q.encode_channel(l), reference_encode(l), "l = {l}");
+        }
+    }
+
+    #[test]
+    fn encode_row_matches_the_reference_including_out_of_range_input() {
+        let q = SrgbQuantizer::new();
+        let lin: Vec<f64> = (0..=4200).map(|i| i as f64 / 4096.0 - 0.01).collect();
+        let mut out = vec![0u8; lin.len()];
+        q.encode_row(&lin, &mut out);
+        for (&l, &byte) in lin.iter().zip(&out) {
+            assert_eq!(byte, q.encode_channel(l), "l = {l}");
+            assert_eq!(byte, reference_encode(l.clamp(0.0, 1.0)), "l = {l}");
         }
     }
 

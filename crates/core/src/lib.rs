@@ -31,6 +31,7 @@ mod campaign;
 pub mod chaos;
 mod config;
 mod experiment;
+mod flags;
 mod metrics;
 mod multi;
 mod protocol;
@@ -54,6 +55,7 @@ pub use campaign::{
 pub use chaos::{ChaosClock, ChaosPolicy, ChaosStream, WorkerFault};
 pub use config::{closest_name, AppConfig, ConfigError};
 pub use experiment::Experiment;
+pub use flags::{Arg, Flags};
 pub use metrics::SdlMetrics;
 pub use multi::{multi_ot2_workcell_yaml, run_multi_ot2, MultiOt2Outcome};
 pub use protocol::{build_protocol, ProtocolError};

@@ -90,6 +90,9 @@ pub mod counter {
         z ^ (z >> 31)
     }
 
+    /// The splitmix64 increment (the golden-ratio `gamma`).
+    pub const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
     /// The `index`-th word of the stream keyed by `seed`: the splitmix64
     /// construction (finalize `seed + index·gamma`) evaluated at an
     /// arbitrary position in O(1), with no shared state. (A sequential
@@ -97,7 +100,7 @@ pub mod counter {
     /// output at position `i` is `hash(seed, i + 1)`.)
     #[inline]
     pub fn hash(seed: u64, index: u64) -> u64 {
-        mix64(seed.wrapping_add(index.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+        mix64(seed.wrapping_add(index.wrapping_mul(GAMMA)))
     }
 
     /// Map 64 random bits to a uniform f64 in the half-open interval

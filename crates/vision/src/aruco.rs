@@ -145,11 +145,31 @@ impl Default for ArucoParams {
     }
 }
 
-/// Reusable component-labelling buffers for [`detect_markers_with`].
+/// Reusable component-labelling buffers for [`detect_markers_with`]: the
+/// frame's dark runs, their union-find forest and the components.
 #[derive(Debug, Clone, Default)]
 pub struct ArucoScratch {
-    visited: Vec<bool>,
-    spans: Vec<(usize, usize, usize)>,
+    runs: Vec<Run>,
+    parent: Vec<u32>,
+    comps: Vec<Component>,
+}
+
+/// A maximal horizontal run `x0..=x1` of below-threshold pixels on row `y`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    y: usize,
+    x0: usize,
+    x1: usize,
+}
+
+/// One 4-connected component: its pixel count and bounding box.
+#[derive(Debug, Clone, Copy)]
+struct Component {
+    area: usize,
+    minx: usize,
+    maxx: usize,
+    miny: usize,
+    maxy: usize,
 }
 
 /// Find markers in the frame. Returns detections sorted by component size
@@ -167,92 +187,108 @@ pub fn detect_markers_with(
     scratch: &mut ArucoScratch,
 ) -> Vec<MarkerDetection> {
     let w = img.width();
-    let h = img.height();
-    assert_eq!(luma.len(), w * h, "luma plane must match the frame");
-    let is_black = |x: usize, y: usize| luma[y * w + x] < params.black_threshold;
-
-    let visited = &mut scratch.visited;
-    visited.clear();
-    visited.resize(w * h, false);
-    let spans = &mut scratch.spans;
+    assert_eq!(luma.len(), w * img.height(), "luma plane must match the frame");
     let mut detections = Vec::new();
-
-    for sy in 0..h {
-        for sx in 0..w {
-            if visited[sy * w + sx] || !is_black(sx, sy) {
-                continue;
-            }
-            // Scanline flood fill over the black component: claim maximal
-            // horizontal runs and enqueue one span per run instead of one
-            // queue entry per pixel (the dark bench is one huge component,
-            // so this is the detector's scan cost). The component — and
-            // hence area and bounding box — is identical to a per-pixel
-            // BFS; only the traversal order differs, which nothing
-            // downstream observes.
-            spans.clear();
-            let (mut minx, mut maxx, mut miny, mut maxy) = (sx, sx, sy, sy);
-            let mut area = 0usize;
-            let claim_span = |x: usize, y: usize, visited: &mut Vec<bool>| {
-                let row = y * w;
-                let mut xl = x;
-                while xl > 0 && !visited[row + xl - 1] && is_black(xl - 1, y) {
-                    xl -= 1;
-                }
-                let mut xr = x;
-                while xr + 1 < w && !visited[row + xr + 1] && is_black(xr + 1, y) {
-                    xr += 1;
-                }
-                for v in &mut visited[row + xl..=row + xr] {
-                    *v = true;
-                }
-                (xl, xr)
-            };
-            let (xl, xr) = claim_span(sx, sy, visited);
-            area += xr - xl + 1;
-            minx = minx.min(xl);
-            maxx = maxx.max(xr);
-            spans.push((xl, xr, sy));
-            let mut qi = 0;
-            while qi < spans.len() {
-                let (xl, xr, y) = spans[qi];
-                qi += 1;
-                for ny in [y.wrapping_sub(1), y + 1] {
-                    if ny >= h {
-                        continue;
-                    }
-                    let mut x = xl;
-                    while x <= xr {
-                        if !visited[ny * w + x] && is_black(x, ny) {
-                            let (nl, nr) = claim_span(x, ny, visited);
-                            area += nr - nl + 1;
-                            minx = minx.min(nl);
-                            maxx = maxx.max(nr);
-                            miny = miny.min(ny);
-                            maxy = maxy.max(ny);
-                            spans.push((nl, nr, ny));
-                            x = nr + 1;
-                        } else {
-                            x += 1;
-                        }
-                    }
-                }
-            }
-            if area < params.min_area || area > params.max_area {
-                continue;
-            }
-            let bw = (maxx - minx + 1) as f64;
-            let bh = (maxy - miny + 1) as f64;
-            let aspect = bw / bh;
-            if !(0.75..=1.33).contains(&aspect) {
-                continue;
-            }
-            if let Some(det) = decode_candidate(img, params, minx, miny, bw, bh) {
-                detections.push((area, det));
-            }
+    for c in label_components(luma, w, params.black_threshold, scratch) {
+        if c.area < params.min_area || c.area > params.max_area {
+            continue;
+        }
+        let bw = (c.maxx - c.minx + 1) as f64;
+        let bh = (c.maxy - c.miny + 1) as f64;
+        let aspect = bw / bh;
+        if !(0.75..=1.33).contains(&aspect) {
+            continue;
+        }
+        if let Some(det) = decode_candidate(img, params, c.minx, c.miny, bw, bh) {
+            detections.push((c.area, det));
         }
     }
+    // Stable: equal areas keep the components' raster order.
     detections.sort_by_key(|(area, _)| std::cmp::Reverse(*area));
     detections.into_iter().map(|(_, d)| d).collect()
+}
+
+/// The 4-connected components of `luma < threshold` in a `w`-wide plane,
+/// in raster order of each component's first pixel.
+///
+/// Each row is cut into maximal dark runs; runs on adjacent rows whose
+/// x-intervals overlap share an edge, so they are united (4-connectivity:
+/// diagonal contact does not join). A union keeps the smaller run index as
+/// the root, so every root is its component's first run in raster order
+/// and walking runs in order emits components in that order.
+fn label_components<'s>(
+    luma: &[u8],
+    w: usize,
+    threshold: u8,
+    scratch: &'s mut ArucoScratch,
+) -> &'s [Component] {
+    let ArucoScratch { runs, parent, comps } = scratch;
+    runs.clear();
+    parent.clear();
+    comps.clear();
+    let mut prev = 0..0;
+    for (y, row) in luma.chunks_exact(w).enumerate() {
+        let start = runs.len();
+        let mut x = 0;
+        while x < w {
+            if row[x] >= threshold {
+                x += 1;
+                continue;
+            }
+            let x0 = x;
+            while x < w && row[x] < threshold {
+                x += 1;
+            }
+            parent.push(runs.len() as u32);
+            runs.push(Run { y, x0, x1: x - 1 });
+        }
+        // Sweep the two sorted run lists, uniting each overlapping pair.
+        let (mut i, mut j) = (prev.start, start);
+        while i < prev.end && j < runs.len() {
+            let (a, b) = (runs[i], runs[j]);
+            if a.x0 <= b.x1 && b.x0 <= a.x1 {
+                let (ra, rb) = (find(parent, i as u32), find(parent, j as u32));
+                parent[ra.max(rb) as usize] = ra.min(rb);
+            }
+            if a.x1 < b.x1 {
+                i += 1;
+            } else {
+                j += 1;
+            }
+        }
+        prev = start..runs.len();
+    }
+
+    // A parent always has a smaller index than its child, so in one
+    // ascending pass every run's parent already holds its component label
+    // (written over the parent index) when the run is reached. A run that
+    // is its own parent is a root and opens the next component.
+    for (k, run) in runs.iter().enumerate() {
+        let p = parent[k] as usize;
+        let label = if p == k {
+            comps.push(Component { area: 0, minx: run.x0, maxx: run.x1, miny: run.y, maxy: run.y });
+            comps.len() - 1
+        } else {
+            parent[p] as usize
+        };
+        parent[k] = label as u32;
+        let c = &mut comps[label];
+        c.area += run.x1 - run.x0 + 1;
+        c.minx = c.minx.min(run.x0);
+        c.maxx = c.maxx.max(run.x1);
+        c.maxy = run.y;
+    }
+    comps
+}
+
+/// Union-find root of run `i`, halving the path on the way.
+fn find(parent: &mut [u32], mut i: u32) -> u32 {
+    while parent[i as usize] != i {
+        let grand = parent[parent[i as usize] as usize];
+        parent[i as usize] = grand;
+        i = grand;
+    }
+    i
 }
 
 /// Sample the 6×6 grid inside a candidate bounding box and match the code.
@@ -405,5 +441,140 @@ mod tests {
     fn no_marker_in_noise_free_background() {
         let frame = ImageRgb8::new(100, 100, Rgb8::new(200, 200, 200));
         assert!(detect_markers(&frame, &ArucoParams::default()).is_empty());
+    }
+
+    /// The reference labeller: a per-pixel 4-connected BFS seeded in raster
+    /// order, returning `(area, minx, maxx, miny, maxy)` per component.
+    fn bfs_components(plane: &[u8], w: usize, threshold: u8) -> Vec<[usize; 5]> {
+        let h = plane.len() / w;
+        let mut seen = vec![false; plane.len()];
+        let mut out = Vec::new();
+        for seed in 0..plane.len() {
+            if seen[seed] || plane[seed] >= threshold {
+                continue;
+            }
+            seen[seed] = true;
+            let mut queue = std::collections::VecDeque::from([seed]);
+            let mut c = [0, seed % w, seed % w, seed / w, seed / w];
+            while let Some(i) = queue.pop_front() {
+                let (x, y) = (i % w, i / w);
+                c = [c[0] + 1, c[1].min(x), c[2].max(x), c[3].min(y), c[4].max(y)];
+                let up = (y > 0).then(|| i - w);
+                let down = (y + 1 < h).then(|| i + w);
+                let left = (x > 0).then(|| i - 1);
+                let right = (x + 1 < w).then(|| i + 1);
+                for j in [up, down, left, right].into_iter().flatten() {
+                    if !seen[j] && plane[j] < threshold {
+                        seen[j] = true;
+                        queue.push_back(j);
+                    }
+                }
+            }
+            out.push(c);
+        }
+        out
+    }
+
+    /// A `w`×`h` plane (dark = 0, light = 255) painted with the shapes that
+    /// stress a run labeller: diagonal-only contacts, U-shapes whose arms
+    /// merge on a later row, spirals, edge-touching borders, single pixels,
+    /// equal-area squares and random speckle.
+    fn painted_plane(seed: u64, w: usize, h: usize) -> Vec<u8> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut plane = vec![255u8; w * h];
+        let dark = |plane: &mut Vec<u8>, x: usize, y: usize| {
+            if x < w && y < h {
+                plane[y * w + x] = 0;
+            }
+        };
+        for _ in 0..rng.gen_range(1..8) {
+            let (x0, y0) = (rng.gen_range(0..w), rng.gen_range(0..h));
+            let size = rng.gen_range(1..12);
+            match rng.gen_range(0..7) {
+                // Diagonal staircase: pixels touch only at corners.
+                0 => (0..size).for_each(|k| dark(&mut plane, x0 + k, y0 + k)),
+                // U-shape: two arms that only meet on the bottom row.
+                1 => {
+                    for k in 0..size {
+                        dark(&mut plane, x0, y0 + k);
+                        dark(&mut plane, x0 + size, y0 + k);
+                    }
+                    (0..=size).for_each(|k| dark(&mut plane, x0 + k, y0 + size));
+                }
+                // Square spiral, one pixel wide with one-pixel gaps.
+                2 => {
+                    let (mut x, mut y) = (x0 as i64, y0 as i64);
+                    let mut len = 2;
+                    for (turn, (dx, dy)) in
+                        [(1, 0), (0, 1), (-1, 0), (0, -1)].iter().cycle().take(size).enumerate()
+                    {
+                        for _ in 0..len {
+                            if x >= 0 && y >= 0 {
+                                dark(&mut plane, x as usize, y as usize);
+                            }
+                            x += dx;
+                            y += dy;
+                        }
+                        len += 2 * (turn % 2);
+                    }
+                }
+                // A border ring touching every frame edge.
+                3 => {
+                    (0..w).for_each(|x| {
+                        dark(&mut plane, x, 0);
+                        dark(&mut plane, x, h - 1);
+                    });
+                    (0..h).for_each(|y| {
+                        dark(&mut plane, 0, y);
+                        dark(&mut plane, w - 1, y);
+                    });
+                }
+                // Isolated single pixels.
+                4 => (0..size).for_each(|_| {
+                    dark(&mut plane, rng.gen_range(0..w), rng.gen_range(0..h));
+                }),
+                // Equal-area squares in a row (ties for the area sort).
+                5 => (0..3).for_each(|k| {
+                    for dy in 0..3 {
+                        for dx in 0..3 {
+                            dark(&mut plane, x0 + 5 * k + dx, y0 + dy);
+                        }
+                    }
+                }),
+                // Random speckle.
+                _ => {
+                    let p = rng.gen_range(0.1..0.6);
+                    for v in plane.iter_mut() {
+                        if rng.gen_bool(p) {
+                            *v = rng.gen_range(0..128);
+                        }
+                    }
+                }
+            }
+        }
+        plane
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Run labelling finds exactly the BFS components — same area,
+        /// bounding box and emission order (raster order of each
+        /// component's first pixel).
+        #[test]
+        fn run_labelling_matches_a_pixel_bfs(
+            seed in proptest::prelude::any::<u64>(),
+            w in 1usize..48,
+            h in 1usize..40,
+        ) {
+            let plane = painted_plane(seed, w, h);
+            let mut scratch = ArucoScratch::default();
+            let got: Vec<[usize; 5]> = label_components(&plane, w, 128, &mut scratch)
+                .iter()
+                .map(|c| [c.area, c.minx, c.maxx, c.miny, c.maxy])
+                .collect();
+            proptest::prop_assert_eq!(got, bfs_components(&plane, w, 128));
+        }
     }
 }

@@ -12,6 +12,9 @@
 //! linear light, so these errors sit far below the 8-bit quantization
 //! floor (the noise field stays statistically indistinguishable from an
 //! exact Box–Muller transform; the detector-accuracy gate enforces it).
+//!
+//! [`grid_index`] is the exact float-to-index conversion the renderer's
+//! well lookup and the Hough vote share.
 
 use std::f64::consts::{FRAC_PI_2, LN_2, SQRT_2};
 
@@ -49,7 +52,9 @@ pub(crate) fn fast_sincos_2pi(u: f64) -> (f64, f64) {
     debug_assert!((0.0..1.0).contains(&u));
     // Quarter-phase reduction: 2πu = (π/2)(q + f), q in 0..4, f in [0, 1).
     let s = u * 4.0;
-    let q = s as u32; // u < 1 so q in 0..=3
+    // u < 1 so q in 0..=3, where `as i32` and `as u32` agree and `i32`
+    // converts in vector registers.
+    let q = s as i32;
     let f = s - q as f64;
     let (sp, cp) = quarter_sincos(f);
     // q=0: ( sp,  cp)   q=1: ( cp, -sp)   q=2: (-sp, -cp)   q=3: (-cp, sp)
@@ -90,6 +95,17 @@ fn quarter_sincos(f: f64) -> (f64, f64) {
     (sp, cp)
 }
 
+/// An integer-valued `v` in `[0, 2^52)` as an index: the integer sits in
+/// the low mantissa bits of `v + 2^52`. Same value as `v as usize`, without
+/// the per-value saturating-conversion sequence that cast compiles to.
+#[inline]
+pub(crate) fn grid_index(v: f64) -> usize {
+    debug_assert!((0.0..TWO_POW_52).contains(&v) && v.fract() == 0.0);
+    ((v + TWO_POW_52).to_bits() - TWO_POW_52.to_bits()) as usize
+}
+
+const TWO_POW_52: f64 = (1u64 << 52) as f64;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,6 +142,13 @@ mod tests {
         assert_eq!(fast_sincos_2pi(0.25), (1.0, -0.0));
         assert_eq!(fast_sincos_2pi(0.5), (-0.0, -1.0));
         assert_eq!(fast_sincos_2pi(0.75), (-1.0, 0.0));
+    }
+
+    #[test]
+    fn grid_index_is_the_integer_cast() {
+        for v in [0.0, 1.0, 7.0, 11.0, 639.0, 4095.0, 1e9, 4_503_599_627_370_495.0] {
+            assert_eq!(grid_index(v), v as usize, "{v}");
+        }
     }
 
     #[test]

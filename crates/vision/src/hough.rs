@@ -7,6 +7,7 @@
 //! gradient direction at the candidate radii; peaks above a vote threshold
 //! become circles, with non-maximum suppression at the well pitch.
 
+use crate::fastmath::grid_index;
 use crate::image::ImageRgb8;
 
 /// A detected circle.
@@ -53,9 +54,10 @@ impl Default for HoughParams {
     }
 }
 
-/// Reusable vote planes for [`hough_circles_with`]; the two full-frame
-/// accumulators dominate the detector's per-frame allocations, so the
-/// measurement loop keeps one of these per worker.
+/// Reusable buffers for [`hough_circles_with`]: the full-frame vote plane
+/// and per-row Sobel, blur and peak buffers. The vote plane dominates the
+/// detector's per-frame allocations, so the measurement loop keeps one of
+/// these per worker.
 #[derive(Debug, Clone, Default)]
 pub struct HoughScratch {
     acc: Vec<u32>,
@@ -63,6 +65,10 @@ pub struct HoughScratch {
     pooled: Vec<u32>,
     peaks: Vec<(u32, usize, usize)>,
     radii: Vec<f64>,
+    signed_radii: Vec<f64>,
+    gx: Vec<i32>,
+    gy: Vec<i32>,
+    mag2: Vec<i32>,
 }
 
 /// Detect circles, strongest first.
@@ -82,6 +88,11 @@ pub fn hough_circles_with(
     let w = img.width();
     let h = img.height();
     assert_eq!(luma.len(), w * h, "luma plane must match the frame");
+    // Frames smaller than the 3×3 kernel have no interior pixels: no votes
+    // and no peaks.
+    if w < 3 || h < 3 {
+        return Vec::new();
+    }
 
     // Accumulate votes over all radii into one plane; radius resolution is
     // not needed because the wells share a known radius band.
@@ -125,18 +136,42 @@ pub fn hough_circles_with(
         }
     };
 
+    // Signed radii `[-r0, r0, -r1, r1, …]`: each edge votes on both sides
+    // (dark–light polarity varies between liquid/wall and wall/plate
+    // transitions). Negation is exact, so `(sign·r)·u` is `sign·r·u` bit
+    // for bit.
+    let signed_radii = &mut scratch.signed_radii;
+    signed_radii.clear();
+    signed_radii.extend(radii.iter().flat_map(|&r| [-r, r]));
+
+    // Row pass: Sobel over the whole row from equal-length tap slices
+    // (branch-free, no bounds checks), then votes at edge pixels only.
+    let n = w - 2;
+    let (gx, gy, mag2) = (&mut scratch.gx, &mut scratch.gy, &mut scratch.mag2);
+    for buf in [&mut *gx, &mut *gy, &mut *mag2] {
+        buf.clear();
+        buf.resize(n, 0);
+    }
+    let (wf, hf) = (w as f64, h as f64);
     for y in 1..h - 1 {
-        let above = &luma[(y - 1) * w..y * w];
-        let row = &luma[y * w..(y + 1) * w];
-        let below = &luma[(y + 1) * w..(y + 2) * w];
-        for x in 1..w - 1 {
+        let (above, row, below) =
+            (&luma[(y - 1) * w..y * w], &luma[y * w..(y + 1) * w], &luma[(y + 1) * w..(y + 2) * w]);
+        let (a, b, c) = (&above[..n], &above[1..n + 1], &above[2..n + 2]);
+        let (d, e) = (&row[..n], &row[2..n + 2]);
+        let (f, g, k) = (&below[..n], &below[1..n + 1], &below[2..n + 2]);
+        let (gx, gy, mag2) = (&mut gx[..n], &mut gy[..n], &mut mag2[..n]);
+        for i in 0..n {
             // Sobel, in integer registers (bit-identical to the f64 taps).
-            let (a, b, c) = (above[x - 1] as i32, above[x] as i32, above[x + 1] as i32);
-            let (d, e) = (row[x - 1] as i32, row[x + 1] as i32);
-            let (f, g, k) = (below[x - 1] as i32, below[x] as i32, below[x + 1] as i32);
-            let gx = c + 2 * e + k - a - 2 * d - f;
-            let gy = f + 2 * g + k - a - 2 * b - c;
-            let s = gx * gx + gy * gy;
+            let (a, b, c) = (a[i] as i32, b[i] as i32, c[i] as i32);
+            let (d, e) = (d[i] as i32, e[i] as i32);
+            let (f, g, k) = (f[i] as i32, g[i] as i32, k[i] as i32);
+            let sx = c + 2 * e + k - a - 2 * d - f;
+            let sy = f + 2 * g + k - a - 2 * b - c;
+            gx[i] = sx;
+            gy[i] = sy;
+            mag2[i] = sx * sx + sy * sy;
+        }
+        for (i, &s) in mag2.iter().enumerate() {
             if s < s_cut {
                 continue;
             }
@@ -144,60 +179,56 @@ pub fn hough_circles_with(
             // (the /4 and *4 only move the exponent), so the vote geometry
             // below is unchanged bit for bit.
             let sqrt_s = (s as f64).sqrt();
-            let ux = gx as f64 / sqrt_s;
-            let uy = gy as f64 / sqrt_s;
-            // Vote on both sides of the edge (dark–light polarity varies
-            // between liquid/wall and wall/plate transitions).
-            for &r in radii.iter() {
-                for sign in [-1.0, 1.0] {
-                    let cx = x as f64 + sign * r * ux;
-                    let cy = y as f64 + sign * r * uy;
-                    if cx >= 0.0 && cy >= 0.0 && (cx as usize) < w && (cy as usize) < h {
-                        acc[cy as usize * w + cx as usize] += 1;
-                    }
+            let ux = gx[i] as f64 / sqrt_s;
+            let uy = gy[i] as f64 / sqrt_s;
+            let (xf, yf) = ((i + 1) as f64, y as f64);
+            for &r in signed_radii.iter() {
+                let cx = xf + r * ux;
+                let cy = yf + r * uy;
+                // For `c >= 0`, `(c as usize) < w` holds exactly when
+                // `c < w`, so the range test runs in floats.
+                if cx >= 0.0 && cx < wf && cy >= 0.0 && cy < hf {
+                    acc[grid_index(cy.floor()) * w + grid_index(cx.floor())] += 1;
                 }
             }
         }
     }
 
-    // Blur the accumulator lightly (3×3 box) so near-miss votes pool.
-    // Separable two-pass form: horizontal run sums, then vertical — u32
-    // adds are exact in any association, so the pooled plane is identical
-    // to the direct 9-tap window.
-    let hsum = &mut scratch.hsum;
-    hsum.clear();
-    hsum.resize(w * h, 0);
-    for y in 0..h {
-        let row = &acc[y * w..(y + 1) * w];
-        let out = &mut hsum[y * w..(y + 1) * w];
-        for x in 1..w - 1 {
-            out[x] = row[x - 1] + row[x] + row[x + 1];
-        }
-    }
-    let pooled = &mut scratch.pooled;
-    pooled.clear();
-    pooled.resize(w * h, 0);
-    for y in 1..h - 1 {
-        let (above, row, below) =
-            (&hsum[(y - 1) * w..y * w], &hsum[y * w..(y + 1) * w], &hsum[(y + 1) * w..(y + 2) * w]);
-        let out = &mut pooled[y * w..(y + 1) * w];
-        for x in 1..w - 1 {
-            out[x] = above[x] + row[x] + below[x];
-        }
-    }
-
-    // Peak pick with NMS. The vote ceiling for a perfect circle is roughly
-    // its circumference (one vote per edge pixel per matching radius),
-    // pooled over the 3×3 window and the radius band.
+    // Blur the accumulator lightly (3×3 box) so near-miss votes pool, and
+    // pick peaks from each pooled row as it is made. The vote ceiling for a
+    // perfect circle is roughly its circumference (one vote per edge pixel
+    // per matching radius), pooled over the 3×3 window and the radius band.
     let ceiling = 2.0 * std::f64::consts::PI * r_mid * radii.len() as f64;
-    let threshold = (params.vote_fraction * ceiling) as u32;
+    let threshold = ((params.vote_fraction * ceiling) as u32).max(1);
     let peaks = &mut scratch.peaks;
     peaks.clear();
-    for y in 1..h - 1 {
-        for x in 1..w - 1 {
-            let v = pooled[y * w + x];
-            if v >= threshold.max(1) {
-                peaks.push((v, x, y));
+    // Separable form: horizontal sums over a ring of three rows, then their
+    // vertical sum. u32 adds are exact in any association, so each pooled
+    // value is the direct 9-tap window's.
+    let hsum = &mut scratch.hsum;
+    hsum.clear();
+    hsum.resize(3 * n, 0);
+    let pooled = &mut scratch.pooled;
+    pooled.clear();
+    pooled.resize(n, 0);
+    for y in 0..h {
+        let row = &acc[y * w..(y + 1) * w];
+        let (l, m, r) = (&row[..n], &row[1..n + 1], &row[2..n + 2]);
+        let slot = &mut hsum[(y % 3) * n..(y % 3 + 1) * n];
+        for (i, out) in slot.iter_mut().enumerate() {
+            *out = l[i] + m[i] + r[i];
+        }
+        if y < 2 {
+            continue;
+        }
+        // Pooled row `y - 1`, whose pixel `x` is at index `x - 1`.
+        let (h0, h1, h2) = (&hsum[..n], &hsum[n..2 * n], &hsum[2 * n..]);
+        for (i, out) in pooled.iter_mut().enumerate() {
+            *out = h0[i] + h1[i] + h2[i];
+        }
+        for (i, &v) in pooled.iter().enumerate() {
+            if v >= threshold {
+                peaks.push((v, i + 1, y - 1));
             }
         }
     }
@@ -278,6 +309,14 @@ mod tests {
     fn blank_image_yields_nothing() {
         let img = ImageRgb8::new(64, 64, Rgb8::new(128, 128, 128));
         assert!(hough_circles(&img, &params()).is_empty());
+    }
+
+    #[test]
+    fn frames_smaller_than_the_kernel_yield_nothing() {
+        for (w, h) in [(1, 1), (1, 40), (2, 40), (40, 1), (40, 2)] {
+            let img = ImageRgb8::new(w, h, Rgb8::new(90, 90, 90));
+            assert!(hough_circles(&img, &params()).is_empty(), "{w}x{h}");
+        }
     }
 
     #[test]

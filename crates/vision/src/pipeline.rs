@@ -191,7 +191,8 @@ impl Detector {
             ..p.hough.clone()
         };
         let circles = hough_circles_with(img, &hough, &scratch.luma, &mut scratch.hough);
-        let margin = p.plate.pitch_mm * px_per_mm;
+        // One well pitch around the plate, in plate-local mm.
+        let margin = p.plate.pitch_mm;
         let in_plate = |c: &Circle| {
             let x_mm = (c.cx - plate_origin_px.0) / px_per_mm;
             let y_mm = (c.cy - plate_origin_px.1) / px_per_mm;
@@ -205,7 +206,7 @@ impl Detector {
         let centers: &[(f64, f64)] = &scratch.centers;
 
         // 4. Grid alignment (the false-negative correction).
-        let (model, rms, fitted) = if p.grid_alignment {
+        let (model, rms) = if p.grid_alignment {
             match fit_grid(centers, p.plate.rows, p.plate.cols, &approx, 3) {
                 Some(fit) => {
                     let pitch_ok =
@@ -213,14 +214,13 @@ impl Detector {
                     if !pitch_ok {
                         return Err(VisionError::ImplausibleGrid);
                     }
-                    (fit.model, fit.rms_px, true)
+                    (fit.model, fit.rms_px)
                 }
-                None => (approx, f64::NAN, false),
+                None => (approx, f64::NAN),
             }
         } else {
-            (approx, f64::NAN, false)
+            (approx, f64::NAN)
         };
-        let _ = fitted;
 
         // 5. Extraction at every predicted center (optionally flat-field
         // corrected against the local plate body shade).
@@ -373,6 +373,44 @@ mod tests {
             let fresh = det.detect(&img).unwrap();
             let reused = det.detect_with(&img, &mut scratch).unwrap();
             assert_eq!(fresh, reused, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn circles_beyond_one_pitch_outside_the_plate_are_not_hits() {
+        // A strong well-sized ring on the bench 12–20 mm above or below the
+        // plate: Hough finds it, but it lies more than one pitch (9 mm)
+        // outside the plate, so it must not count as a hit.
+        let scene = scene_with_samples(24);
+        let clean = render(&scene, &mut StdRng::seed_from_u64(12));
+        let det = Detector::default();
+        let base = det.detect(&clean).unwrap();
+        let cam = &scene.camera;
+        let px_per_mm = base.marker.size_px / det.params.marker.size_mm;
+        let well_r_px = det.params.plate.well_radius_mm * px_per_mm;
+        let hough = HoughParams {
+            r_min: well_r_px * 0.8,
+            r_max: well_r_px * 1.25,
+            min_center_dist: det.params.plate.pitch_mm * px_per_mm * 0.6,
+            max_circles: det.params.plate.well_count() + 16,
+            ..HoughParams::default()
+        };
+        let plate_h = det.params.plate.height_mm;
+        for (x_mm, y_mm) in
+            [(60.0, -12.5), (35.0, -19.0), (80.0, plate_h + 13.0), (50.0, plate_h + 20.0)]
+        {
+            let px = (x_mm - cam.look_at_mm.0) * cam.px_per_mm + cam.width_px as f64 / 2.0;
+            let py = (y_mm - cam.look_at_mm.1) * cam.px_per_mm + cam.height_px as f64 / 2.0;
+            let mut img = clean.clone();
+            crate::draw::fill_circle(&mut img, px, py, well_r_px, Rgb8::new(210, 210, 210));
+            crate::draw::stroke_circle(&mut img, px, py, well_r_px, 2.0, Rgb8::new(10, 10, 10));
+            let found = crate::hough::hough_circles(&img, &hough);
+            assert!(
+                found.iter().any(|c| (c.cx - px).abs() <= 2.0 && (c.cy - py).abs() <= 2.0),
+                "Hough must find the ring at ({x_mm}, {y_mm}) mm"
+            );
+            let reading = det.detect(&img).unwrap();
+            assert_eq!(reading.hough_hits, base.hough_hits, "ring at ({x_mm}, {y_mm}) mm");
         }
     }
 

@@ -24,11 +24,11 @@
 //! renderer; [`render`] dispatches on [`CameraGeometry::fidelity`].
 
 use crate::aruco::cell_is_white;
-use crate::fastmath::{fast_ln, fast_sincos_2pi};
+use crate::fastmath::{fast_ln, fast_sincos_2pi, grid_index};
 use crate::image::ImageRgb8;
 use crate::layout::{CameraGeometry, Fidelity, MarkerLayout, PlateLayout};
 use crate::reference::render_reference_into;
-use rand::counter::{hash, unit_f64, unit_f64_open0};
+use rand::counter::{mix64, unit_f64, unit_f64_open0, GAMMA};
 use rand::Rng;
 use sdl_color::{LinRgb, Rgb8, SrgbQuantizer};
 use std::sync::OnceLock;
@@ -209,13 +209,12 @@ pub fn render_tiled(
         img.reset(w, h, Rgb8::default());
     }
     let tile_rows = tile_rows.max(1);
-    let index = SceneIndex::new(scene);
-    let quant = quantizer();
+    let frame = FramePlan::new(scene, frame_seed);
 
     let tile_bytes = tile_rows * w * 3;
     if threads <= 1 || h <= tile_rows {
         for (t, tile) in img.bytes_mut().chunks_mut(tile_bytes).enumerate() {
-            render_rows(scene, &index, quant, frame_seed, t * tile_rows, tile);
+            frame.render_rows(t * tile_rows, tile);
         }
         return;
     }
@@ -229,95 +228,168 @@ pub fn render_tiled(
     }
     std::thread::scope(|scope| {
         for bucket in buckets {
-            let index = &index;
+            let frame = &frame;
             scope.spawn(move || {
                 for (t, tile) in bucket {
-                    render_rows(scene, index, quant, frame_seed, t * tile_rows, tile);
+                    frame.render_rows(t * tile_rows, tile);
                 }
             });
         }
     });
 }
 
-/// Render rows `[row0, row0 + rows)` of the frame into `out` (the tile's
-/// interleaved RGB bytes; its length determines the row count).
-fn render_rows(
-    scene: &PlateScene,
-    index: &SceneIndex,
-    quant: &SrgbQuantizer,
+/// What the counter path derives once per frame and every tile reads: the
+/// scene index, the pose transform, the lighting constants and the
+/// row-independent column factors.
+struct FramePlan<'a> {
+    scene: &'a PlateScene,
+    index: SceneIndex,
+    quant: &'static SrgbQuantizer,
     frame_seed: u64,
-    row0: usize,
-    out: &mut [u8],
-) {
-    let cam = &scene.camera;
-    let w = cam.width_px;
-    let h = cam.height_px;
-    debug_assert_eq!(out.len() % (w * 3), 0);
+    /// Frame-center offset after the pose shift, px.
+    cx: f64,
+    cy: f64,
+    sin_t: f64,
+    cos_t: f64,
+    /// Vignette strength over the squared corner distance.
+    vig_b: f64,
+    /// Per output byte `3·px + c`: the vignette term `vig_b·rx²` of column
+    /// `px`. `rx` advances by the same `+= 1.0` steps on every row, so the
+    /// term is row-independent.
+    col_vig: Vec<f64>,
+    /// Per output byte `3·px + c`: the illumination gain of channel `c`.
+    col_gain: Vec<f64>,
+}
 
-    let cx = w as f64 / 2.0 + scene.pose.dx_px;
-    let cy = h as f64 / 2.0 + scene.pose.dy_px;
-    let inv_s = 1.0 / cam.px_per_mm;
-    let theta = scene.pose.rot_deg.to_radians();
-    let (sin_t, cos_t) = theta.sin_cos();
-    // Walking one pixel right moves the scene point by a fixed mm step.
-    let step_x = cos_t * inv_s;
-    let step_y = -sin_t * inv_s;
-    let corner_d2 = {
-        let dx = w as f64 / 2.0;
-        let dy = h as f64 / 2.0;
-        dx * dx + dy * dy
-    };
-    let sigma = scene.lighting.noise_sigma;
-    let [cg_r, cg_g, cg_b] = scene.lighting.channel_gain;
-    // Vignette gain as a row-constant minus a pure rx² term.
-    let vig_b = scene.lighting.gain * scene.lighting.vignette / corner_d2;
-
-    // Noise indexing: channel `c` of pixel `(px, py)` consumes standard
-    // normal `3·px + c` of row `py`; Box–Muller pair `j` of a row yields
-    // normals `2j` and `2j + 1` (both variates used), and rows advance the
-    // global pair counter by a fixed stride. Rows are never split across
-    // tiles, so every tile can evaluate its rows' pairs independently.
-    let pairs_per_row = (3 * w).div_ceil(2);
-    let chunks_per_row = pairs_per_row.div_ceil(NOISE_CHUNK);
-    let mut z = vec![0.0f64; chunks_per_row * NOISE_CHUNK * 2];
-
-    for (r, row_bytes) in out.chunks_exact_mut(w * 3).enumerate() {
-        let py = row0 + r;
-        let row_base = py as u64 * pairs_per_row as u64;
-        for (ci, chunk) in z.chunks_exact_mut(NOISE_CHUNK * 2).enumerate() {
-            noise_chunk(
-                frame_seed,
-                row_base + (ci * NOISE_CHUNK) as u64,
-                chunk.try_into().expect("chunk size"),
-            );
-        }
-
-        let ry = py as f64 + 0.5 - cy;
-        let rx0 = 0.5 - cx;
-        let mut mm_x = (rx0 * cos_t + ry * sin_t) * inv_s + cam.look_at_mm.0;
-        let mut mm_y = (-rx0 * sin_t + ry * cos_t) * inv_s + cam.look_at_mm.1;
-        let gain_row = scene.lighting.gain - vig_b * ry * ry;
-        let mut rx = rx0;
-
-        for (px, out_px) in row_bytes.chunks_exact_mut(3).enumerate() {
-            let base = index.material(mm_x, mm_y);
-            let gain = gain_row - vig_b * rx * rx;
-            mm_x += step_x;
-            mm_y += step_y;
+impl<'a> FramePlan<'a> {
+    fn new(scene: &'a PlateScene, frame_seed: u64) -> FramePlan<'a> {
+        let w = scene.camera.width_px;
+        let h = scene.camera.height_px;
+        let cx = w as f64 / 2.0 + scene.pose.dx_px;
+        let cy = h as f64 / 2.0 + scene.pose.dy_px;
+        let (sin_t, cos_t) = scene.pose.rot_deg.to_radians().sin_cos();
+        let corner_d2 = {
+            let dx = w as f64 / 2.0;
+            let dy = h as f64 / 2.0;
+            dx * dx + dy * dy
+        };
+        // Vignette gain as a row-constant minus a pure rx² term.
+        let vig_b = scene.lighting.gain * scene.lighting.vignette / corner_d2;
+        let mut col_vig = Vec::with_capacity(3 * w);
+        let mut rx = 0.5 - cx;
+        for _ in 0..w {
+            let q = vig_b * rx * rx;
+            col_vig.extend([q; 3]);
             rx += 1.0;
-            let n = 3 * px;
-            out_px[0] = quant.encode_channel((base.r * gain * cg_r + sigma * z[n]).clamp(0.0, 1.0));
-            out_px[1] =
-                quant.encode_channel((base.g * gain * cg_g + sigma * z[n + 1]).clamp(0.0, 1.0));
-            out_px[2] =
-                quant.encode_channel((base.b * gain * cg_b + sigma * z[n + 2]).clamp(0.0, 1.0));
+        }
+        let col_gain = scene.lighting.channel_gain.repeat(w);
+        FramePlan {
+            scene,
+            index: SceneIndex::new(scene),
+            quant: quantizer(),
+            frame_seed,
+            cx,
+            cy,
+            sin_t,
+            cos_t,
+            vig_b,
+            col_vig,
+            col_gain,
+        }
+    }
+
+    /// Render rows `[row0, row0 + rows)` of the frame into `out` (the
+    /// tile's interleaved RGB bytes; its length determines the row count).
+    ///
+    /// Each row is cut into segments of [`SEGMENT_BYTES`] output bytes, and
+    /// each segment runs four passes: noise, a scalar material lookup, a
+    /// branch-free light pass, then the sRGB encode. A segment's buffers
+    /// stay in L1 between passes; a whole row's would not.
+    fn render_rows(&self, row0: usize, out: &mut [u8]) {
+        let scene = self.scene;
+        let cam = &scene.camera;
+        let w = cam.width_px;
+        debug_assert_eq!(out.len() % (w * 3), 0);
+        let inv_s = 1.0 / cam.px_per_mm;
+        let (sin_t, cos_t) = (self.sin_t, self.cos_t);
+        // Walking one pixel right moves the scene point by a fixed mm step.
+        let step_x = cos_t * inv_s;
+        let step_y = -sin_t * inv_s;
+        let sigma = scene.lighting.noise_sigma;
+
+        // Noise indexing: channel `c` of pixel `(px, py)` consumes standard
+        // normal `3·px + c` of row `py`; Box–Muller pair `j` of a row yields
+        // normals `2j` and `2j + 1` (both variates used), and rows advance
+        // the global pair counter by a fixed stride. Rows are never split
+        // across tiles, so every tile can evaluate its rows' pairs
+        // independently.
+        let pairs_per_row = (3 * w).div_ceil(2);
+        let mut z = [0.0f64; SEGMENT_BYTES];
+        let mut base = [0.0f64; SEGMENT_BYTES];
+        let mut lin = [0.0f64; SEGMENT_BYTES];
+
+        for (r, row_bytes) in out.chunks_exact_mut(w * 3).enumerate() {
+            let py = row0 + r;
+            let row_base = py as u64 * pairs_per_row as u64;
+            let ry = py as f64 + 0.5 - self.cy;
+            let rx0 = 0.5 - self.cx;
+            let mut mm_x = (rx0 * cos_t + ry * sin_t) * inv_s + cam.look_at_mm.0;
+            let mut mm_y = (-rx0 * sin_t + ry * cos_t) * inv_s + cam.look_at_mm.1;
+            let gain_row = scene.lighting.gain - self.vig_b * ry * ry;
+
+            for (s, seg_bytes) in row_bytes.chunks_mut(SEGMENT_BYTES).enumerate() {
+                let n = seg_bytes.len();
+                let first_pair = row_base + (s * SEGMENT_BYTES / 2) as u64;
+                let chunks =
+                    z[..n.next_multiple_of(2 * NOISE_CHUNK)].chunks_exact_mut(2 * NOISE_CHUNK);
+                for (ci, chunk) in chunks.enumerate() {
+                    noise_chunk(
+                        self.frame_seed,
+                        first_pair + (ci * NOISE_CHUNK) as u64,
+                        chunk.try_into().expect("chunk size"),
+                    );
+                }
+
+                for px in base[..n].chunks_exact_mut(3) {
+                    let m = self.index.material(mm_x, mm_y);
+                    px.copy_from_slice(&[m.r, m.g, m.b]);
+                    mm_x += step_x;
+                    mm_y += step_y;
+                }
+
+                let cols = s * SEGMENT_BYTES..s * SEGMENT_BYTES + n;
+                let (vig, gain) = (&self.col_vig[cols.clone()], &self.col_gain[cols]);
+                let (lin, base, z) = (&mut lin[..n], &base[..n], &z[..n]);
+                for i in 0..n {
+                    lin[i] =
+                        (base[i] * (gain_row - vig[i]) * gain[i] + sigma * z[i]).clamp(0.0, 1.0);
+                }
+                self.quant.encode_row(lin, seg_bytes);
+            }
         }
     }
 }
 
+/// Output bytes per row segment: whole pixels (a multiple of 3) and whole
+/// noise chunks (a multiple of `2 · NOISE_CHUNK` normals).
+const SEGMENT_BYTES: usize = 3 * 2 * NOISE_CHUNK;
+
 /// Box–Muller pairs per generation chunk: large enough that the uniform,
 /// log/sqrt and phase passes each auto-vectorize over plain arrays.
 const NOISE_CHUNK: usize = 64;
+
+/// `k·γ` for every lane `k` of a chunk's counters, with `γ` the splitmix
+/// increment: `hash(seed, i + k)` is `mix64((seed + i·γ) + k·γ)` in
+/// wrapping arithmetic, so a chunk needs one multiply for its base.
+const LANE_OFFSETS: [u64; 2 * NOISE_CHUNK] = {
+    let mut t = [0u64; 2 * NOISE_CHUNK];
+    let mut k = 0;
+    while k < t.len() {
+        t[k] = (k as u64).wrapping_mul(GAMMA);
+        k += 1;
+    }
+    t
+};
 
 /// Evaluate counter-stream Box–Muller pairs `j0 .. j0 + NOISE_CHUNK`,
 /// writing both variates of pair `k` to `z[2k]` / `z[2k + 1]`. Three
@@ -325,12 +397,13 @@ const NOISE_CHUNK: usize = 64;
 /// keep the divide/sqrt/polynomial work in SIMD lanes.
 #[inline]
 fn noise_chunk(frame_seed: u64, j0: u64, z: &mut [f64; 2 * NOISE_CHUNK]) {
+    // Pair `j` draws counters `2j` and `2j + 1`.
+    let base = frame_seed.wrapping_add((2 * j0).wrapping_mul(GAMMA));
     let mut u1 = [0.0f64; NOISE_CHUNK];
     let mut u2 = [0.0f64; NOISE_CHUNK];
-    for (k, (u1, u2)) in u1.iter_mut().zip(&mut u2).enumerate() {
-        let j = j0 + k as u64;
-        *u1 = unit_f64_open0(hash(frame_seed, 2 * j));
-        *u2 = unit_f64(hash(frame_seed, 2 * j + 1));
+    for ((u1, u2), lanes) in u1.iter_mut().zip(&mut u2).zip(LANE_OFFSETS.chunks_exact(2)) {
+        *u1 = unit_f64_open0(mix64(base.wrapping_add(lanes[0])));
+        *u2 = unit_f64(mix64(base.wrapping_add(lanes[1])));
     }
     let mut radius = [0.0f64; NOISE_CHUNK];
     for (r, u1) in radius.iter_mut().zip(&u1) {
@@ -442,8 +515,10 @@ impl SceneIndex {
 
         // Plate: nearest well by grid rounding, then squared-distance spans.
         if x >= 0.0 && x < self.plate_w && y >= 0.0 && y < self.plate_h {
-            let col = ((x - self.a1_x) * self.inv_pitch).round().clamp(0.0, self.max_col) as usize;
-            let row = ((y - self.a1_y) * self.inv_pitch).round().clamp(0.0, self.max_row) as usize;
+            let col =
+                grid_index(((x - self.a1_x) * self.inv_pitch).round().clamp(0.0, self.max_col));
+            let row =
+                grid_index(((y - self.a1_y) * self.inv_pitch).round().clamp(0.0, self.max_row));
             let well = &self.wells[row * self.cols + col];
             let dx = x - well.cx;
             let dy = y - well.cy;

@@ -27,24 +27,13 @@
 //! ```
 
 use sdl_lab::core::{
-    batch_sweep, closest_name, AppConfig, BackendSpec, CampaignConfig, CampaignReport,
-    CampaignRunner, CampaignScheduler, ChaosPolicy, ColorPickerApp, EventLog, EventRecord,
-    Experiment, Leaderboard, ProgressModel, StressKind, StressSuite,
+    batch_sweep, AppConfig, Arg, BackendSpec, CampaignConfig, CampaignReport, CampaignRunner,
+    CampaignScheduler, ChaosPolicy, ColorPickerApp, EventLog, EventRecord, Experiment, Flags,
+    Leaderboard, ProgressModel, StressKind, StressSuite,
 };
 use sdl_lab::datapub::AcdcPortal;
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-/// What a flag takes after its name.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Arg {
-    /// Nothing: the flag is a switch.
-    Switch,
-    /// A value.
-    Value,
-    /// A value for the config key it names, read by [`AppConfig::set_text`].
-    Setting(&'static str),
-}
 
 use Arg::{Setting, Switch, Value};
 
@@ -109,77 +98,6 @@ const SERVE_FLAGS: &[(&str, Arg)] = &[
     ("--blob-mem-cap", Value),
 ];
 const WATCH_FLAGS: &[(&str, Arg)] = &[("--once", Switch), ("--interval-ms", Value)];
-
-/// A command's flags, parsed against the lists it declares. The same lists
-/// guard every lookup: reading a flag the command did not declare panics.
-struct Flags<'a> {
-    declared: Vec<(&'static str, Arg)>,
-    given: Vec<(&'static str, Option<&'a str>)>,
-}
-
-impl<'a> Flags<'a> {
-    /// Parse `args`. An unknown flag, a flag missing its value, a repeated
-    /// flag and a stray argument are errors. Only a `--` prefix marks a
-    /// flag, so `--seed -1` passes `-1` as a value.
-    fn parse(
-        command: &str,
-        args: &'a [String],
-        lists: &[&[(&'static str, Arg)]],
-    ) -> Result<Flags<'a>, String> {
-        let declared = lists.concat();
-        let mut given: Vec<(&'static str, Option<&'a str>)> = Vec::new();
-        let mut rest = args.iter();
-        while let Some(arg) = rest.next() {
-            let Some(&(name, arg_kind)) = declared.iter().find(|(name, _)| name == arg) else {
-                return Err(unknown_flag(command, arg, &declared));
-            };
-            if given.iter().any(|(seen, _)| *seen == name) {
-                return Err(format!("{name} is given twice"));
-            }
-            let value = match arg_kind {
-                Switch => None,
-                Value | Setting(_) => Some(
-                    rest.next()
-                        .filter(|v| !v.starts_with("--"))
-                        .ok_or_else(|| format!("{name} needs a value"))?
-                        .as_str(),
-                ),
-            };
-            given.push((name, value));
-        }
-        Ok(Flags { declared, given })
-    }
-
-    fn lookup(&self, name: &str) -> Option<Option<&'a str>> {
-        assert!(self.declared.iter().any(|(n, _)| *n == name), "undeclared flag {name}");
-        self.given.iter().find(|(n, _)| *n == name).map(|&(_, value)| value)
-    }
-
-    fn value(&self, name: &str) -> Option<&'a str> {
-        self.lookup(name).flatten()
-    }
-
-    fn present(&self, name: &str) -> bool {
-        self.lookup(name).is_some()
-    }
-}
-
-/// The error for an argument `command` does not declare: a did-you-mean
-/// hint, or else the flags it takes.
-fn unknown_flag(command: &str, arg: &str, declared: &[(&str, Arg)]) -> String {
-    if !arg.starts_with("--") {
-        return format!("unexpected argument '{arg}' for '{command}'");
-    }
-    let names = declared.iter().map(|(name, _)| *name);
-    match closest_name(arg, names.clone()) {
-        Some(flag) => format!("unknown flag '{arg}' for '{command}' (did you mean '{flag}'?)"),
-        None if declared.is_empty() => format!("'{command}' takes no flags, got '{arg}'"),
-        None => format!(
-            "unknown flag '{arg}' for '{command}' (it takes {})",
-            names.collect::<Vec<_>>().join(", ")
-        ),
-    }
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
