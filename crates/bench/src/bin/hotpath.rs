@@ -98,7 +98,6 @@ fn capped_server(cap: usize) -> sdl_portal_server::ServerHandle {
         server,
         &sdl_portal_server::ServerConfig {
             addr: "127.0.0.1:0".into(),
-            threads: cap.max(1),
             max_conns: cap,
             ..sdl_portal_server::ServerConfig::default()
         },

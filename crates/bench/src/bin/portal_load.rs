@@ -4,14 +4,15 @@
 //! and report throughput plus p50/p99 latency per endpoint.
 //!
 //! Usage: `cargo run --release -p sdl-bench --bin portal_load --
-//!         [--clients 8] [--requests 500] [--records 5000] [--threads 8]
-//!         [--max-conns 0]`
+//!         [--clients 8] [--requests 500] [--records 5000]
+//!         [--max-conns 256]`
 //!
-//! `--max-conns N` arms the server's live-connection cap: clients past
-//! it are shed `503` at accept and reconnect, and the summary reports
-//! the shed rate alongside throughput (the overload sweep in the
-//! `hotpath` bench records the same admission behavior in
-//! `BENCH_hotpath.json`).
+//! `--max-conns N` is the server's live-connection cap (default: the
+//! server's own default; at least 1): each admitted connection gets its
+//! own thread, and clients past the cap are shed `503` at accept and
+//! reconnect, so the summary reports the shed rate alongside throughput
+//! (the overload sweep in the `hotpath` bench records the same admission
+//! behavior in `BENCH_hotpath.json`).
 
 use bytes::Bytes;
 use sdl_bench::{flag_or, mean, parse_flags, percentile, table};
@@ -26,7 +27,6 @@ const FLAGS: &[(&str, Arg)] = &[
     ("--clients", Arg::Value),
     ("--requests", Arg::Value),
     ("--records", Arg::Value),
-    ("--threads", Arg::Value),
     ("--max-conns", Arg::Value),
 ];
 
@@ -89,31 +89,21 @@ fn main() {
     let clients: usize = flag_or(&flags, "--clients", 8);
     let requests: usize = flag_or(&flags, "--requests", 500);
     let records: usize = flag_or(&flags, "--records", 5000);
-    let threads: usize = flag_or(&flags, "--threads", 8);
-
-    if clients > threads {
-        eprintln!(
-            "warning: {clients} keep-alive clients > {threads} server threads — the server is \
-             thread-per-connection, so surplus clients queue behind the pool and latency \
-             percentiles will measure the queue, not the server"
-        );
-    }
+    let max_conns: usize = flag_or(&flags, "--max-conns", ServerConfig::default().max_conns);
 
     let (portal, store, blob) = seed_portal(records);
     let total_records = portal.len();
-    let max_conns: usize = flag_or(&flags, "--max-conns", 0);
     let server = PortalServer::new(portal, store);
-    let handle = spawn(
-        server,
-        &ServerConfig { addr: "127.0.0.1:0".into(), threads, max_conns, ..ServerConfig::default() },
-    )
-    .expect("bind load-test server");
+    let config = ServerConfig { addr: "127.0.0.1:0".into(), max_conns, ..ServerConfig::default() };
+    let handle = spawn(server, &config).unwrap_or_else(|e| {
+        eprintln!("error: cannot start the load-test server: {e}");
+        std::process::exit(1)
+    });
     let addr = handle.addr();
     eprintln!(
         "portal_load: {total_records} records behind {}, {clients} clients x {requests} \
-         requests, {threads} server threads{}",
+         requests, {max_conns}-connection cap",
         handle.url(),
-        if max_conns > 0 { format!(", {max_conns}-connection cap") } else { String::new() }
     );
 
     let wall = Instant::now();
@@ -174,7 +164,7 @@ fn main() {
     all.sort_by(f64::total_cmp);
     let total = all.len();
 
-    println!("# portal_load: {clients} clients x {requests} requests, {threads} server threads");
+    println!("# portal_load: {clients} clients x {requests} requests, {max_conns}-connection cap");
     let mut rows = Vec::new();
     for (slot, name) in ENDPOINTS.iter().enumerate() {
         let mut l = std::mem::take(&mut by_endpoint[slot]);

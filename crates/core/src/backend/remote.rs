@@ -10,8 +10,8 @@
 //! campaign executed remotely is bit-identical to the same campaign
 //! executed in-process.
 //!
-//! The embedded HTTP client is deliberately tiny (std-only, keep-alive,
-//! `Content-Length`-framed — the dialect the portal server speaks).
+//! Requests and responses go through the crate's one HTTP client
+//! ([`crate::http`]); this module adds the retry, resend and chaos policy.
 
 use crate::app::AppError;
 use crate::backend::wire::{self, BatchReply};
@@ -19,15 +19,9 @@ use crate::backend::RetryPolicy;
 use crate::backend::{BackendCaps, BackendClose, Batch, BatchResult, LabBackend};
 use crate::chaos::{ChaosPolicy, ChaosStream};
 use crate::config::AppConfig;
+use crate::http::{self, HttpClient, ParseError};
 use sdl_conf::{from_json, to_json, Value, ValueExt};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-
-/// Largest response body accepted from a worker. A `/v1/batch` reply
-/// carries one plate frame (~0.9 MB at 640×480); a `Content-Length` past
-/// this is a broken or hostile peer, refused before allocating for it.
-const MAX_RESPONSE: usize = 64 * 1024 * 1024;
 
 /// A lab backend executing on a remote `sdl-lab serve` worker.
 pub struct RemoteBackend {
@@ -35,15 +29,10 @@ pub struct RemoteBackend {
     config: AppConfig,
     retry: RetryPolicy,
     stats: RemoteStats,
-    conn: Option<Conn>,
+    conn: Option<HttpClient>,
     session: Option<String>,
     caps: Option<BackendCaps>,
     chaos: Option<ChaosStream>,
-}
-
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
 }
 
 /// Wire-level accounting for one [`RemoteBackend`]: how many requests went
@@ -150,21 +139,14 @@ impl RemoteBackend {
     /// retried within the policy budget with exponential backoff; an
     /// exhausted budget is a *transport* error — the worker never saw any
     /// request, so a scheduler may safely hand the work elsewhere.
-    fn connect(&mut self) -> Result<&mut Conn, AppError> {
+    fn connect(&mut self) -> Result<&mut HttpClient, AppError> {
         if self.conn.is_none() {
-            let stream = self.connect_stream()?;
-            stream.set_nodelay(true).ok();
-            stream
-                .set_read_timeout(Some(self.retry.read_timeout))
-                .map_err(|e| AppError::Transport(e.to_string()))?;
-            let reader =
-                BufReader::new(stream.try_clone().map_err(|e| AppError::Transport(e.to_string()))?);
-            self.conn = Some(Conn { reader, writer: stream });
+            self.conn = Some(self.connect_stream()?);
         }
         Ok(self.conn.as_mut().expect("connection just established"))
     }
 
-    fn connect_stream(&mut self) -> Result<TcpStream, AppError> {
+    fn connect_stream(&mut self) -> Result<HttpClient, AppError> {
         let mut last: Option<std::io::Error> = None;
         for attempt in 0..self.retry.attempts() {
             std::thread::sleep(self.retry.backoff(attempt));
@@ -184,20 +166,12 @@ impl RemoteBackend {
                     continue;
                 }
             }
-            // Resolve per attempt: a worker restarting behind a DNS name may
-            // come back on a different address.
-            let addrs = match self.addr.to_socket_addrs() {
-                Ok(addrs) => addrs,
-                Err(e) => {
-                    last = Some(e);
-                    continue;
-                }
-            };
-            for addr in addrs {
-                match TcpStream::connect_timeout(&addr, self.retry.connect_timeout) {
-                    Ok(stream) => return Ok(stream),
-                    Err(e) => last = Some(e),
-                }
+            // Resolved per attempt: a worker restarting behind a DNS name
+            // may come back on a different address.
+            let (connect, read) = (self.retry.connect_timeout, self.retry.read_timeout);
+            match HttpClient::connect_timeout(self.addr.as_str(), connect, read) {
+                Ok(conn) => return Ok(conn),
+                Err(e) => last = Some(e),
             }
         }
         let cause = last.map(|e| e.to_string()).unwrap_or_else(|| "no addresses resolved".into());
@@ -305,33 +279,21 @@ impl RemoteBackend {
         if inject_slow {
             self.stats.chaos_slow_reads += 1;
         }
+        let request = http::request_bytes(path, Some(payload.as_bytes()));
         let conn = self.connect().map_err(PostError::Unsent)?;
         if inject_slow {
-            // A slow reader: trickle the request out in two halves with a
+            // A slow reader: trickle the request out in two parts, the head
+            // with the first half of the body and then the rest, with a
             // stall in between, exercising the worker's header/body read
             // deadlines. The request still completes, so this is
             // retry-safe by construction.
-            let head = format!(
-                "POST {path} HTTP/1.1\r\nHost: lab\r\nContent-Type: application/json\r\n\
-                 Content-Length: {}\r\n\r\n",
-                payload.len()
-            );
-            let (first, rest) = payload.as_bytes().split_at(payload.len() / 2);
-            conn.writer.write_all(head.as_bytes()).map_err(|e| PostError::Unsent(err(e)))?;
-            conn.writer.write_all(first).map_err(|e| PostError::Unsent(err(e)))?;
-            conn.writer.flush().map_err(|e| PostError::Unsent(err(e)))?;
+            let cut = request.len() - (payload.len() - payload.len() / 2);
+            conn.send(&request[..cut]).map_err(|e| PostError::Unsent(err(e)))?;
             std::thread::sleep(stall.unwrap_or(Duration::from_millis(25)));
-            conn.writer.write_all(rest).map_err(|e| PostError::Unsent(err(e)))?;
+            conn.send(&request[cut..]).map_err(|e| PostError::Unsent(err(e)))?;
         } else {
-            write!(
-                conn.writer,
-                "POST {path} HTTP/1.1\r\nHost: lab\r\nContent-Type: application/json\r\n\
-                 Content-Length: {}\r\n\r\n{payload}",
-                payload.len()
-            )
-            .map_err(|e| PostError::Unsent(err(e)))?;
+            conn.send(&request).map_err(|e| PostError::Unsent(err(e)))?;
         }
-        conn.writer.flush().map_err(|e| PostError::Unsent(err(e)))?;
 
         if inject_disconnect {
             // Drop the connection after the request went out but before
@@ -344,63 +306,23 @@ impl RemoteBackend {
             ))));
         }
 
-        // Status line. A clean close (or reset) before the first byte means
-        // the worker reaped the idle connection without seeing the request.
-        let mut line = String::new();
-        match conn.reader.read_line(&mut line) {
-            Ok(0) => {
+        // A hang-up before the first byte of the status line means the
+        // worker reaped the idle connection without reading the request.
+        // A read timeout, or any failure after the first response byte, is
+        // never resent.
+        let response = match conn.read_response() {
+            Ok(Some(response)) => response,
+            Ok(None) => {
                 return Err(PostError::Unsent(AppError::Transport(format!(
                     "{addr}{path}: connection closed before request was read"
                 ))))
             }
-            Ok(_) => {}
-            Err(e)
-                if line.is_empty()
-                    && matches!(
-                        e.kind(),
-                        std::io::ErrorKind::ConnectionReset
-                            | std::io::ErrorKind::BrokenPipe
-                            | std::io::ErrorKind::UnexpectedEof
-                    ) =>
-            {
-                return Err(PostError::Unsent(err(e)))
+            Err(ParseError::Io(e)) => return Err(PostError::Fatal(err(e))),
+            Err(e) => {
+                return Err(PostError::Fatal(AppError::Backend(format!("{addr}{path}: {e}"))))
             }
-            Err(e) => return Err(PostError::Fatal(err(e))),
-        }
-        let status: u16 =
-            line.split_ascii_whitespace().nth(1).and_then(|s| s.parse().ok()).ok_or_else(|| {
-                PostError::Fatal(AppError::Backend(format!("{addr}{path}: bad status line")))
-            })?;
-        // Headers: Content-Length frames the body; Retry-After (seconds
-        // form) is the server's backoff hint on a load shed.
-        let mut length: Option<usize> = None;
-        let mut retry_after: Option<u64> = None;
-        loop {
-            let mut header = String::new();
-            conn.reader.read_line(&mut header).map_err(|e| PostError::Fatal(err(e)))?;
-            let header = header.trim_end();
-            if header.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = header.split_once(':') {
-                let name = name.trim();
-                if name.eq_ignore_ascii_case("content-length") {
-                    length = value.trim().parse().ok();
-                } else if name.eq_ignore_ascii_case("retry-after") {
-                    retry_after = value.trim().parse().ok();
-                }
-            }
-        }
-        let length = length.ok_or_else(|| {
-            PostError::Fatal(AppError::Backend(format!("{addr}{path}: missing content-length")))
-        })?;
-        if length > MAX_RESPONSE {
-            return Err(PostError::Fatal(AppError::Backend(format!(
-                "{addr}{path}: response of {length} bytes exceeds the {MAX_RESPONSE}-byte limit"
-            ))));
-        }
-        let mut body = vec![0u8; length];
-        conn.reader.read_exact(&mut body).map_err(|e| PostError::Fatal(err(e)))?;
+        };
+        let status = response.status;
         if inject_replay {
             // Throw the (perfectly good) response away and ask again: the
             // worker must serve the duplicate from its replay cache, not
@@ -413,7 +335,7 @@ impl RemoteBackend {
         }
         // Only error bodies are read as text: a batch reply's frame is
         // binary, and a lossy copy of it would be wasted work.
-        let text = || String::from_utf8_lossy(&body).trim().to_string();
+        let text = || String::from_utf8_lossy(&response.body).trim().to_string();
         if status == 429 || status == 503 {
             // A load shed, not a failure: the worker is alive and asked us
             // to slow down. Surfaced as backpressure so the caller throttles
@@ -421,7 +343,11 @@ impl RemoteBackend {
             self.stats.sheds += 1;
             return Err(PostError::Throttled(AppError::Backpressure {
                 message: format!("{addr}{path}: HTTP {status}: {}", text()),
-                retry_after: retry_after.map(Duration::from_secs),
+                // The seconds form of the server's backoff hint.
+                retry_after: response
+                    .header("retry-after")
+                    .and_then(|v| v.parse().ok())
+                    .map(Duration::from_secs),
             }));
         }
         if status >= 400 {
@@ -430,7 +356,7 @@ impl RemoteBackend {
                 text()
             ))));
         }
-        Ok(body)
+        Ok(response.body)
     }
 
     fn session_path(&self, route: &str) -> Result<String, AppError> {

@@ -10,14 +10,8 @@
 //!   when a worker has died (every in-budget retry is exhausted).
 //!
 //! The schedule is deterministic: retry `k` (1-based) waits
-//! `base_backoff * 2^(k-1)`, clamped to `max_backoff`. Jitter, when a
-//! policy opts in via [`RetryPolicy::with_jitter`], is *seed-derived*: a
-//! counter-based hash of `(jitter_seed, k)` shaves up to `jitter_permille`
-//! ‰ off each wait, so a pool of workers hammering the same dead peer
-//! de-synchronizes without giving up the campaign engine's determinism
-//! contract — the same seed always waits the same schedule.
+//! `base_backoff * 2^(k-1)`, clamped to `max_backoff`.
 
-use rand::counter;
 use std::time::Duration;
 
 /// Connect/read timeouts and the bounded exponential-backoff retry budget.
@@ -33,13 +27,6 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Ceiling on any single backoff wait.
     pub max_backoff: Duration,
-    /// How much deterministic jitter to shave off each wait, in permille
-    /// of the exponential value (`0` = exact schedule, `1000` = anywhere
-    /// down to zero). Values above 1000 clamp to 1000.
-    pub jitter_permille: u32,
-    /// Seed for the jitter hash; two policies with different seeds spread
-    /// their retries apart, same seed reproduces the same waits.
-    pub jitter_seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -52,8 +39,6 @@ impl Default for RetryPolicy {
             retries: 3,
             base_backoff: Duration::from_millis(50),
             max_backoff: Duration::from_secs(2),
-            jitter_permille: 0,
-            jitter_seed: 0,
         }
     }
 }
@@ -75,19 +60,7 @@ impl RetryPolicy {
             retries: 2,
             base_backoff: Duration::from_millis(25),
             max_backoff: Duration::from_millis(500),
-            ..RetryPolicy::default()
         }
-    }
-
-    /// Opt into deterministic jitter: each wait is shortened by a hashed
-    /// fraction of itself, up to `permille`/1000. Give every worker in a
-    /// pool a distinct `seed` (e.g. derived from its index) and their
-    /// retries against a shared dead peer spread out instead of
-    /// thundering in lockstep.
-    pub fn with_jitter(mut self, permille: u32, seed: u64) -> RetryPolicy {
-        self.jitter_permille = permille;
-        self.jitter_seed = seed;
-        self
     }
 
     /// Total attempts (first try + retries).
@@ -96,29 +69,15 @@ impl RetryPolicy {
     }
 
     /// The wait before retry `k` (1-based): `base * 2^(k-1)`, clamped to
-    /// [`max_backoff`](RetryPolicy::max_backoff), minus the deterministic
-    /// jitter fraction if the policy opted in. `backoff(0)` is zero (no
-    /// wait before the first attempt). With jitter the wait stays within
-    /// `[clamped * (1 - permille/1000), clamped]` — never above the clamp,
-    /// never negative.
+    /// [`max_backoff`](RetryPolicy::max_backoff). `backoff(0)` is zero (no
+    /// wait before the first attempt).
     pub fn backoff(&self, retry: u32) -> Duration {
         if retry == 0 {
             return Duration::ZERO;
         }
         // 2^(k-1) saturates well before the clamp can miss it.
         let factor = 1u32.checked_shl(retry - 1).unwrap_or(u32::MAX);
-        let clamped =
-            self.base_backoff.checked_mul(factor).unwrap_or(self.max_backoff).min(self.max_backoff);
-        let permille = self.jitter_permille.min(1000) as u64;
-        if permille == 0 {
-            return clamped;
-        }
-        // Shave a hashed fraction (0..=permille ‰) off the wait. Jitter
-        // spreads *downward* so the clamp stays an absolute ceiling.
-        let frac = counter::hash(self.jitter_seed, retry as u64) % (permille + 1);
-        let nanos = clamped.as_nanos().min(u64::MAX as u128) as u64;
-        let cut = ((nanos as u128 * frac as u128) / 1000) as u64;
-        Duration::from_nanos(nanos - cut)
+        self.base_backoff.checked_mul(factor).unwrap_or(self.max_backoff).min(self.max_backoff)
     }
 
     /// The wait before retrying a load-shed request (HTTP 429/503):
@@ -194,66 +153,6 @@ mod tests {
         // still be the clamped ceiling, not a panic.
         assert_eq!(p.backoff(500), Duration::from_secs(7));
         assert_eq!(p.backoff(40), Duration::from_secs(7));
-    }
-
-    #[test]
-    fn jittered_schedule_stays_within_clamp_bounds() {
-        let exact = RetryPolicy {
-            retries: 8,
-            base_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_millis(300),
-            ..RetryPolicy::default()
-        };
-        for seed in 0..64u64 {
-            let p = exact.with_jitter(250, seed);
-            for k in 1..=p.retries {
-                let ceiling = exact.backoff(k);
-                let floor = ceiling.mul_f64(0.75);
-                let wait = p.backoff(k);
-                assert!(
-                    wait <= ceiling && wait >= floor,
-                    "seed {seed} retry {k}: {wait:?} outside [{floor:?}, {ceiling:?}]"
-                );
-                assert!(wait <= p.max_backoff);
-            }
-            // Deterministic: the same seed always waits the same schedule.
-            assert_eq!(p.schedule(), exact.with_jitter(250, seed).schedule());
-        }
-        // Full-range jitter still never exceeds the exponential value.
-        let wild = exact.with_jitter(1000, 9);
-        for k in 1..=wild.retries {
-            assert!(wild.backoff(k) <= exact.backoff(k));
-        }
-        // Permille values above 1000 clamp instead of underflowing.
-        let over = exact.with_jitter(5000, 3);
-        for k in 1..=over.retries {
-            assert!(over.backoff(k) <= exact.backoff(k));
-        }
-    }
-
-    #[test]
-    fn zero_jitter_is_the_exact_schedule() {
-        let p = RetryPolicy {
-            retries: 4,
-            base_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_millis(300),
-            ..RetryPolicy::default()
-        };
-        assert_eq!(p.schedule(), p.with_jitter(0, 77).schedule());
-    }
-
-    #[test]
-    fn distinct_seeds_spread_the_herd() {
-        let p = RetryPolicy {
-            retries: 4,
-            base_backoff: Duration::from_millis(100),
-            max_backoff: Duration::from_secs(2),
-            ..RetryPolicy::default()
-        };
-        // At least one pair of workers must disagree on some wait —
-        // that's the whole point of jitter.
-        let schedules: Vec<_> = (0..8u64).map(|w| p.with_jitter(500, w).schedule()).collect();
-        assert!(schedules.windows(2).any(|w| w[0] != w[1]));
     }
 
     #[test]

@@ -44,11 +44,10 @@ use crate::campaign::runner::{closed_event, finish_event, run_attempt};
 use crate::campaign::spec::{RunMode, ScenarioSpec};
 use crate::chaos::{self, ChaosPolicy};
 use crate::experiment::Experiment;
+use crate::http::HttpClient;
 use sdl_conf::Value;
 use sdl_datapub::{AcdcPortal, BlobStore};
 use sdl_vision::DetectorScratch;
-use std::io::{BufRead, BufReader, Write as _};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -472,15 +471,8 @@ impl CampaignScheduler {
                 let scenarios = Arc::clone(&scenarios);
                 let tx = tx.clone();
                 let (queue, healthy, stats) = (&queue, &healthy, &stats[w]);
-                // Per-worker jitter seed: drivers retrying the same dead
-                // peer spread their backoff waits apart (a no-op unless the
-                // policy opted into jitter).
-                let retry = self.retry.with_jitter(
-                    self.retry.jitter_permille,
-                    rand::counter::hash(self.retry.jitter_seed, w as u64),
-                );
-                let (probe_budget, failure_budget, chaos) =
-                    (self.probe_budget, self.failure_budget, self.chaos);
+                let (retry, probe_budget, failure_budget, chaos) =
+                    (self.retry, self.probe_budget, self.failure_budget, self.chaos);
                 let (events, attempts, pool_urls) =
                     (self.events.as_ref(), &attempts[..], &self.workers[..]);
                 scope.spawn(move || {
@@ -790,30 +782,10 @@ fn drive_one(
     (outcome, backend.stats())
 }
 
-/// One cheap liveness probe: `GET /healthz` with a short connect timeout.
+/// One cheap liveness probe: `GET /healthz`, with `timeout` to connect
+/// and to answer.
 fn probe(url: &str, timeout: Duration) -> bool {
-    let Ok(addrs) = url.to_socket_addrs() else { return false };
-    for addr in addrs {
-        let Ok(stream) = TcpStream::connect_timeout(&addr, timeout) else { continue };
-        stream.set_read_timeout(Some(timeout)).ok();
-        let mut stream = stream;
-        if write!(stream, "GET /healthz HTTP/1.1\r\nHost: lab\r\nConnection: close\r\n\r\n")
-            .is_err()
-        {
-            continue;
-        }
-        let mut line = String::new();
-        if BufReader::new(stream).read_line(&mut line).is_err() {
-            continue;
-        }
-        let ok = line
-            .split_ascii_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse::<u16>().ok())
-            .is_some_and(|status| status < 500);
-        if ok {
-            return true;
-        }
-    }
-    false
+    HttpClient::connect_timeout(url, timeout, timeout)
+        .and_then(|mut conn| conn.get("/healthz"))
+        .is_ok_and(|resp| resp.status < 500)
 }

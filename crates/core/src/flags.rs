@@ -88,6 +88,22 @@ impl Flags {
             None => Ok(default),
         }
     }
+
+    /// The count given for `name`, read as strictly as a setting flag's:
+    /// digits only (no sign), at least `min`, and within `T`'s range.
+    /// `None` when the flag is absent.
+    pub fn count<T: TryFrom<u64>>(&self, name: &str, min: u64) -> Result<Option<T>, String> {
+        let Some(text) = self.value(name) else {
+            return Ok(None);
+        };
+        Some(text)
+            .filter(|t| t.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|t| t.parse::<u64>().ok())
+            .filter(|&n| n >= min)
+            .and_then(|n| T::try_from(n).ok())
+            .map(Some)
+            .ok_or_else(|| format!("{name} must be a whole number of at least {min}, got '{text}'"))
+    }
 }
 
 /// The error for an argument `command` does not declare: a did-you-mean
@@ -116,5 +132,23 @@ mod tests {
     fn looking_up_an_undeclared_flag_is_a_bug() {
         const FLAGS: &[(&str, Arg)] = &[("--samples", Arg::Value)];
         let _ = Flags::parse("cmd", &[], &[FLAGS]).unwrap().present("--batch");
+    }
+
+    #[test]
+    fn counts_take_digits_only_from_their_minimum_up() {
+        const FLAGS: &[(&str, Arg)] = &[("--n", Arg::Value)];
+        let count = |text: &str, min| {
+            let flags = Flags::parse("cmd", &["--n".into(), text.into()], &[FLAGS]).unwrap();
+            flags.count::<u32>("--n", min)
+        };
+        assert_eq!(count("7", 1), Ok(Some(7)));
+        assert_eq!(count("0", 0), Ok(Some(0)));
+        assert_eq!(count("4294967295", 1), Ok(Some(u32::MAX)));
+        for bad in ["0", "+2", "-1", "", "2x", " 2", "4294967296"] {
+            let err = count(bad, 1).unwrap_err();
+            assert_eq!(err, format!("--n must be a whole number of at least 1, got '{bad}'"));
+        }
+        let absent = Flags::parse("cmd", &[], &[FLAGS]).unwrap();
+        assert_eq!(absent.count::<u32>("--n", 1), Ok(None));
     }
 }

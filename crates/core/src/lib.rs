@@ -32,6 +32,7 @@ pub mod chaos;
 mod config;
 mod experiment;
 mod flags;
+pub mod http;
 mod metrics;
 mod multi;
 mod protocol;

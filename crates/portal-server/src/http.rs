@@ -1,22 +1,23 @@
-//! A deliberately small HTTP/1.1 implementation over `std::io`.
+//! The server half of HTTP/1.1 over `std::io`.
 //!
 //! Supports exactly what the portal front-end and the batch-execution API
 //! need: GET/HEAD/POST requests, percent-decoded paths and query strings,
 //! `Content-Length`-framed request bodies (bounded), keep-alive
-//! connections, and `Content-Length`-framed responses. No chunked
-//! encoding, no TLS.
+//! connections, and `Content-Length`-framed responses. Heads are read by
+//! the same bounded reader the clients use ([`sdl_core::http`]). No
+//! chunked encoding, no TLS.
 
+use sdl_core::http::{self, ParseError};
 use std::io::{self, BufRead, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Upper bound on one request line or header line, bytes.
-const MAX_LINE: usize = 8 * 1024;
-/// Upper bound on the number of headers per request.
-const MAX_HEADERS: usize = 64;
 /// Upper bound on a request body. Requests carry configs and batches of
-/// ratios, never plate frames (those only travel in `/v1/batch` replies).
-pub const MAX_BODY: usize = 16 * 1024 * 1024;
+/// ratios, never plate frames (those only travel in `/v1/batch` replies):
+/// a full 96-well `/v1/batch` body is ~4.7 KB. Every admitted connection
+/// has its own thread, so at the default 256-connection cap at most
+/// 128 MiB of request bodies are buffered at once.
+pub const MAX_BODY: usize = 512 * 1024;
 
 /// One parsed HTTP request head.
 #[derive(Debug, Clone)]
@@ -53,53 +54,6 @@ impl Request {
     /// Body as UTF-8.
     pub fn body_text(&self) -> std::borrow::Cow<'_, str> {
         String::from_utf8_lossy(&self.body)
-    }
-}
-
-/// Errors a request parse can produce (each maps to a 4xx).
-#[derive(Debug)]
-pub enum ParseError {
-    /// Malformed request line or header.
-    Malformed(&'static str),
-    /// A line or the header block exceeded the size limits.
-    TooLarge,
-    /// The socket failed mid-read.
-    Io(io::Error),
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParseError::Malformed(what) => write!(f, "malformed request: {what}"),
-            ParseError::TooLarge => write!(f, "request too large"),
-            ParseError::Io(e) => write!(f, "i/o error: {e}"),
-        }
-    }
-}
-
-fn read_line(reader: &mut impl BufRead) -> Result<Option<String>, ParseError> {
-    let mut line = Vec::new();
-    loop {
-        let buf = reader.fill_buf().map_err(ParseError::Io)?;
-        if buf.is_empty() {
-            // Clean EOF before any byte → no more requests on the socket.
-            return if line.is_empty() { Ok(None) } else { Err(ParseError::Malformed("eof")) };
-        }
-        let nl = buf.iter().position(|&b| b == b'\n');
-        let take = nl.map(|i| i + 1).unwrap_or(buf.len());
-        line.extend_from_slice(&buf[..take]);
-        reader.consume(take);
-        if line.len() > MAX_LINE {
-            return Err(ParseError::TooLarge);
-        }
-        if nl.is_some() {
-            while line.last() == Some(&b'\n') || line.last() == Some(&b'\r') {
-                line.pop();
-            }
-            return String::from_utf8(line)
-                .map(Some)
-                .map_err(|_| ParseError::Malformed("non-utf8 header"));
-        }
     }
 }
 
@@ -153,10 +107,10 @@ fn parse_query(raw: &str) -> Vec<(String, String)> {
 
 /// Read one request head off the socket.
 ///
-/// Returns `Ok(None)` on a clean EOF (keep-alive connection closed by the
-/// peer between requests).
+/// Returns `Ok(None)` when the peer hung up between requests (a
+/// keep-alive connection closed or reset before the next request line).
 pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, ParseError> {
-    let Some(line) = read_line(reader)? else {
+    let Some(line) = http::read_line(reader)? else {
         return Ok(None);
     };
     let mut parts = line.split_ascii_whitespace();
@@ -171,42 +125,13 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, ParseE
         None => (target, ""),
     };
 
-    let mut headers = Vec::new();
-    loop {
-        let Some(line) = read_line(reader)? else {
-            return Err(ParseError::Malformed("eof in headers"));
-        };
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= MAX_HEADERS {
-            return Err(ParseError::TooLarge);
-        }
-        let (name, value) =
-            line.split_once(':').ok_or(ParseError::Malformed("header without colon"))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-
+    let headers = http::read_headers(reader)?;
     // Read a Content-Length-framed body so keep-alive framing stays in
     // sync even on routes that ignore it. An unparsable length is a hard
     // error — treating it as 0 would leave body bytes in the stream to be
     // misread as the next request line.
-    let mut body = Vec::new();
-    let length = match headers.iter().find(|(k, _)| k == "content-length") {
-        // Digits only: `parse` would also take a sign (`+5`).
-        Some((_, v)) => Some(v)
-            .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
-            .and_then(|v| v.parse::<usize>().ok())
-            .ok_or(ParseError::Malformed("bad content-length"))?,
-        None => 0,
-    };
-    if length > 0 {
-        if length > MAX_BODY {
-            return Err(ParseError::TooLarge);
-        }
-        body = vec![0u8; length];
-        reader.read_exact(&mut body).map_err(ParseError::Io)?;
-    }
+    let length = http::content_length(&headers, MAX_BODY)?.unwrap_or(0);
+    let body = http::read_body(reader, length)?;
 
     Ok(Some(Request {
         method: method.to_ascii_uppercase(),
@@ -332,9 +257,9 @@ pub fn write_response(
 ///   after that;
 /// * from the first byte of a request, every subsequent read is capped by
 ///   the time remaining until `now + request_deadline` — a client
-///   trickling one header byte per second cannot pin a pool thread past
-///   the deadline, because the socket timeout is re-armed with the
-///   *remaining* time, not a fresh per-read allowance.
+///   trickling one header byte per second cannot hold its connection
+///   thread past the deadline, because the socket timeout is re-armed
+///   with the *remaining* time, not a fresh per-read allowance.
 ///
 /// Call [`DeadlineStream::start_request`] before parsing each request so
 /// the deadline re-arms per request, not per connection. Reads served
@@ -403,6 +328,7 @@ impl Read for DeadlineStream<'_> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use sdl_core::http::{read_response, MAX_LINE};
     use std::io::BufReader;
 
     fn parse(text: &str) -> Request {
@@ -652,7 +578,91 @@ mod tests {
             }
             let source = Counting { inner: head.as_bytes().chain(io::repeat(byte)), read: 0 };
             let mut reader = BufReader::with_capacity(capacity, source);
-            prop_assert!(matches!(read_request(&mut reader), Err(ParseError::TooLarge)));
+            prop_assert!(matches!(read_request(&mut reader), Err(ParseError::TooLarge { .. })));
+            let read = reader.get_ref().read;
+            prop_assert!(read <= head.len() + MAX_LINE + capacity, "read {} bytes", read);
+        }
+
+        /// The client's response reader shares the head reader: arbitrary
+        /// bytes never panic it either, with or without a valid status
+        /// line in front.
+        #[test]
+        fn arbitrary_response_bytes_never_panic(
+            head in prop_oneof![
+                Just(""),
+                Just("HTTP/1.1 200 OK\r\n"),
+                Just("HTTP/1.1 200 OK\r\nContent-Length: "),
+            ],
+            bytes in proptest::collection::vec(
+                prop_oneof![
+                    Just(b'\r'),
+                    Just(b'\n'),
+                    Just(b':'),
+                    Just(b' '),
+                    b'0'..=b'9',
+                    any::<u8>(),
+                ],
+                0..512,
+            ),
+        ) {
+            let mut input = head.as_bytes().to_vec();
+            input.extend_from_slice(&bytes);
+            let mut reader = BufReader::new(&input[..]);
+            while let Ok(Some(_)) = read_response(&mut reader) {}
+        }
+
+        /// A response built from an arbitrary status, headers and body
+        /// parses back to those fields, and the bytes after its body stay
+        /// unread for the next response.
+        #[test]
+        fn built_responses_parse_back(
+            status in 100u16..1000,
+            reason in "[ -~]{0,16}",
+            headers in proptest::collection::vec(("[A-Za-z0-9-]{1,12}", "[ -~é☃]{0,24}"), 0..8),
+            body in proptest::collection::vec(any::<u8>(), 0..256),
+            next in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut raw = format!("HTTP/1.1 {status} {reason}\r\n");
+            for (name, value) in &headers {
+                raw.push_str(&format!("X-{name}: {value}\r\n"));
+            }
+            raw.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+            let mut raw = raw.into_bytes();
+            raw.extend_from_slice(&body);
+            raw.extend_from_slice(&next);
+
+            let mut reader = BufReader::new(&raw[..]);
+            let resp = read_response(&mut reader).unwrap().unwrap();
+            prop_assert_eq!(resp.status, status);
+            let mut want: Vec<(String, String)> = headers
+                .iter()
+                .map(|(n, v)| (format!("x-{}", n.to_ascii_lowercase()), v.trim().to_string()))
+                .collect();
+            want.push(("content-length".to_string(), body.len().to_string()));
+            prop_assert_eq!(resp.headers, want);
+            prop_assert_eq!(resp.body, body);
+            let mut rest = Vec::new();
+            reader.read_to_end(&mut rest).unwrap();
+            prop_assert_eq!(rest, next);
+        }
+
+        /// A response header line with no newline is refused as
+        /// `TooLarge` after reading at most `MAX_LINE` plus one buffer
+        /// fill, as a request's is.
+        #[test]
+        fn endless_response_header_line_is_too_large(
+            capacity in 1usize..4096,
+            headers in 0usize..4,
+            byte in any::<u8>(),
+        ) {
+            let byte = if byte == b'\n' { b'x' } else { byte };
+            let mut head = "HTTP/1.1 200 OK\r\n".to_string();
+            for i in 0..headers {
+                head.push_str(&format!("X-{i}: v\r\n"));
+            }
+            let source = Counting { inner: head.as_bytes().chain(io::repeat(byte)), read: 0 };
+            let mut reader = BufReader::with_capacity(capacity, source);
+            prop_assert!(matches!(read_response(&mut reader), Err(ParseError::TooLarge { .. })));
             let read = reader.get_ref().read;
             prop_assert!(read <= head.len() + MAX_LINE + capacity, "read {} bytes", read);
         }

@@ -272,7 +272,8 @@ impl LabHost {
 
     /// Cap concurrently executing batches; past the cap `/v1/batch` sheds
     /// with `503` + `Retry-After` instead of piling more lab work onto the
-    /// pool. 0 (the default) means unbounded.
+    /// connection threads. 0 (the default) means unbounded: then only the
+    /// server's connection cap bounds concurrent batches.
     pub fn with_max_inflight(mut self, max: u64) -> LabHost {
         self.max_inflight = max;
         self

@@ -2,8 +2,9 @@
 //!
 //! The paper publishes every run to the ACDC data portal so people and
 //! tools outside the lab process can watch campaigns as they execute
-//! (§2.3, Figure 3). This crate is that front door: a thread-pooled
-//! HTTP/1.1 server over [`std::net::TcpListener`] exposing a live
+//! (§2.3, Figure 3). This crate is that front door: an HTTP/1.1 server
+//! over [`std::net::TcpListener`], one thread per admitted connection up
+//! to a connection cap, exposing a live
 //! [`AcdcPortal`](sdl_datapub::AcdcPortal) and
 //! [`BlobStore`](sdl_datapub::BlobStore):
 //!
@@ -27,15 +28,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
 mod http;
 mod lab;
 mod metrics;
-mod pool;
 mod server;
 
 pub use http::{percent_decode, Request, Response};
 pub use lab::{LabHost, LabMetrics, QuotaPolicy, SESSION_TTL};
 pub use metrics::{route_label, ServerMetrics};
-pub use pool::ThreadPool;
 pub use server::{spawn, PortalServer, ServerConfig, ServerHandle};
+
+/// The keep-alive HTTP client for tests, tools and the load generators:
+/// the one client in [`sdl_core::http`], which reads responses with the
+/// same bounded head reader as the server reads requests.
+pub mod client {
+    pub use sdl_core::http::{get, post, HttpClient, HttpResponse};
+}

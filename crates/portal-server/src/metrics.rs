@@ -61,8 +61,8 @@ impl ServerMetrics {
         self.conns_active.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// Connections accepted and not yet finished (includes ones still
-    /// queued for a pool worker).
+    /// Connections accepted and not yet finished: the live connection
+    /// threads.
     pub fn active_connections(&self) -> u64 {
         self.conns_active.load(Ordering::Acquire)
     }

@@ -1,13 +1,13 @@
 //! Routing and the accept/serve loop.
 
-use crate::http::{self, DeadlineStream, ParseError, Request, Response};
+use crate::http::{self, DeadlineStream, Request, Response};
 use crate::lab::LabHost;
 use crate::metrics::ServerMetrics;
-use crate::pool::ThreadPool;
 use sdl_conf::{to_json, Value};
+use sdl_core::http::ParseError;
 use sdl_core::{EventLog, EventRecord, ProgressModel};
 use sdl_datapub::{render_run_html, render_summary_html, AcdcPortal, BlobRef, BlobStore};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -35,18 +35,16 @@ const SSE_SLICE: Duration = Duration::from_millis(250);
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads handling connections. The model is
-    /// thread-per-connection: a keep-alive connection occupies its worker
-    /// until the peer closes or goes idle (~10 s), so size this at or
-    /// above the number of concurrent clients you expect.
-    pub threads: usize,
-    /// Live-connection cap (`0` = unlimited): connections accepted past it
-    /// are answered `503` + `Retry-After` in the accept thread and closed,
-    /// never queued — the work queue stays bounded under any client load.
+    /// Live-connection cap, the server's one concurrency bound: every
+    /// admitted connection gets its own thread until the peer closes or
+    /// goes idle, so a long-poll or event stream holds a slot, never a
+    /// shared worker. Connections past the cap are answered `503` +
+    /// `Retry-After` in the accept thread and closed, never queued. Must
+    /// be at least 1: [`spawn`] refuses 0.
     pub max_conns: usize,
     /// Requests served per keep-alive connection before the server closes
-    /// it (`Connection: close`); `0` = unlimited. Bounds the lifetime a
-    /// single client can pin one pool worker.
+    /// it (`Connection: close`); `0` = unlimited. Bounds how long a single
+    /// client can hold one connection slot.
     pub max_requests_per_conn: usize,
     /// How long a keep-alive connection may sit idle between requests
     /// before it is reaped.
@@ -61,7 +59,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            threads: 8,
             max_conns: 256,
             max_requests_per_conn: 10_000,
             idle_timeout: Duration::from_secs(10),
@@ -80,7 +77,7 @@ struct ConnLimits {
 
 /// The portal front-end: routes requests against a live [`AcdcPortal`] and
 /// [`BlobStore`]. Routing is a pure function of the shared state, so the
-/// same instance is driven concurrently by every pool worker.
+/// same instance is driven concurrently by every connection thread.
 #[derive(Debug)]
 pub struct PortalServer {
     portal: Arc<AcdcPortal>,
@@ -93,15 +90,12 @@ pub struct PortalServer {
     /// events) instead of O(log length).
     watch: Mutex<(u64, ProgressModel)>,
     /// Set by [`ServerHandle`] teardown so streaming responses
-    /// (`/events/stream`) let go of their pool worker promptly.
+    /// (`/events/stream`) end and their connection threads exit promptly.
     closing: AtomicBool,
     /// Set by [`PortalServer::begin_drain`]: new sessions are refused,
     /// in-flight work finishes, keep-alive connections close after their
     /// next response.
     draining: AtomicBool,
-    /// The accept pool's queue-depth gauge, wired up by [`spawn`] (stays
-    /// zero for a routing-only server that was never spawned).
-    queue_depth: Arc<std::sync::atomic::AtomicUsize>,
     started: Instant,
 }
 
@@ -118,7 +112,6 @@ impl PortalServer {
             watch: Mutex::new((1, ProgressModel::default())),
             closing: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            queue_depth: Arc::new(std::sync::atomic::AtomicUsize::new(0)),
             started: Instant::now(),
         }
     }
@@ -381,16 +374,6 @@ impl PortalServer {
             use std::fmt::Write as _;
             let _ = writeln!(
                 text,
-                "# HELP sdl_portal_queue_depth Connections queued for a pool worker."
-            );
-            let _ = writeln!(text, "# TYPE sdl_portal_queue_depth gauge");
-            let _ = writeln!(
-                text,
-                "sdl_portal_queue_depth {}",
-                self.queue_depth.load(Ordering::Relaxed)
-            );
-            let _ = writeln!(
-                text,
                 "# HELP sdl_portal_draining 1 while the server drains for shutdown."
             );
             let _ = writeln!(text, "# TYPE sdl_portal_draining gauge");
@@ -530,8 +513,8 @@ impl ServerHandle {
         }
         self.shutdown.store(true, Ordering::SeqCst);
         // Streaming responses watch this flag between frames; without it
-        // an idle /events/stream subscriber would hold its pool worker
-        // (and therefore the join below) until its peer went away.
+        // an idle /events/stream subscriber would hold its connection
+        // thread (and therefore the join below) until its peer went away.
         self.server.closing.store(true, Ordering::SeqCst);
         // Wake the blocking accept with a throwaway connection. A wildcard
         // bind address (0.0.0.0 / ::) is not connectable on every
@@ -556,16 +539,21 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Bind and start serving on background threads.
-pub fn spawn(server: PortalServer, config: &ServerConfig) -> std::io::Result<ServerHandle> {
+/// Bind and start serving on background threads: one accept thread, and
+/// one thread per admitted connection. A `max_conns` of 0 is refused
+/// (`InvalidInput`): it would mean unbounded threads.
+pub fn spawn(server: PortalServer, config: &ServerConfig) -> io::Result<ServerHandle> {
+    if config.max_conns == 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "max_conns must be at least 1 (each admitted connection gets a thread)",
+        ));
+    }
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    let pool = ThreadPool::new(config.threads);
-    let mut server = server;
-    server.queue_depth = pool.depth_gauge();
     let server = Arc::new(server);
     let shutdown = Arc::new(AtomicBool::new(false));
-    let max_conns = config.max_conns;
+    let max_conns = config.max_conns as u64;
     let limits = ConnLimits {
         max_requests: config.max_requests_per_conn,
         idle_timeout: config.idle_timeout,
@@ -576,65 +564,77 @@ pub fn spawn(server: PortalServer, config: &ServerConfig) -> std::io::Result<Ser
     let accept_shutdown = Arc::clone(&shutdown);
     let accept_thread =
         std::thread::Builder::new().name("portal-accept".to_string()).spawn(move || {
-            for conn in listener.incoming() {
-                if accept_shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { continue };
-                // Admission control: past the live-connection cap the
-                // accept thread itself answers an immediate 503 +
-                // Retry-After and hangs up — the connection never queues,
-                // so memory and queue depth stay bounded however many
-                // clients pile in.
-                if max_conns > 0 && accept_server.metrics.active_connections() >= max_conns as u64 {
-                    accept_server.metrics.record_conn_shed();
-                    let resp =
-                        Response::shed(503, "connection limit reached", Duration::from_secs(1));
-                    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                    let mut writer = BufWriter::new(&stream);
-                    if http::write_response(&mut writer, &resp, false, true).is_ok() {
-                        // Drain the request bytes the client already sent
-                        // (briefly, bounded) so closing sends a clean FIN
-                        // rather than an RST that races the 503 off the
-                        // peer's socket before it can read it.
-                        use std::io::Read as _;
-                        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-                        let mut sink = [0u8; 1024];
-                        for _ in 0..8 {
-                            match (&stream).read(&mut sink) {
-                                Ok(n) if n > 0 => continue,
-                                _ => break,
-                            }
-                        }
+            let server = &*accept_server;
+            // Connection threads are scoped to this loop, so leaving it
+            // joins them all: `shutdown` returns only after in-flight
+            // requests finish.
+            std::thread::scope(|scope| {
+                for conn in listener.incoming() {
+                    if accept_shutdown.load(Ordering::SeqCst) {
+                        break;
                     }
-                    continue;
+                    let Ok(stream) = conn else { continue };
+                    if server.metrics.active_connections() >= max_conns {
+                        shed(server, &stream);
+                        continue;
+                    }
+                    server.metrics.record_connection();
+                    // Shared with the connection thread, so a failed spawn
+                    // can still shed the connection.
+                    let stream = Arc::new(stream);
+                    let conn = Arc::clone(&stream);
+                    let spawned = std::thread::Builder::new()
+                        .name("portal-conn".to_string())
+                        .spawn_scoped(scope, move || {
+                            handle_connection(server, &conn, limits);
+                            server.metrics.record_connection_closed();
+                        });
+                    if spawned.is_err() {
+                        server.metrics.record_connection_closed();
+                        shed(server, &stream);
+                    }
                 }
-                accept_server.metrics.record_connection();
-                let server = Arc::clone(&accept_server);
-                pool.execute(move || {
-                    handle_connection(&server, stream, limits);
-                    server.metrics.record_connection_closed();
-                });
-            }
-            // Dropping the pool joins every worker, so `shutdown` returns
-            // only after in-flight requests finish.
+            });
         })?;
 
     Ok(ServerHandle { addr, shutdown, accept_thread: Some(accept_thread), server })
 }
 
+/// Admission control: past the live-connection cap (or when no thread can
+/// be spawned) the accept thread itself answers an immediate `503` +
+/// `Retry-After` and hangs up. The connection never queues, so memory and
+/// threads stay bounded however many clients pile in.
+fn shed(server: &PortalServer, stream: &TcpStream) {
+    server.metrics.record_conn_shed();
+    let resp = Response::shed(503, "connection limit reached", Duration::from_secs(1));
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+    let mut writer = BufWriter::new(stream);
+    if http::write_response(&mut writer, &resp, false, true).is_ok() {
+        // Drain the request bytes the client already sent (briefly,
+        // bounded) so closing sends a clean FIN rather than an RST that
+        // races the 503 off the peer's socket before it can read it.
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+        let mut sink = [0u8; 1024];
+        for _ in 0..8 {
+            match (&*stream).read(&mut sink) {
+                Ok(n) if n > 0 => continue,
+                _ => break,
+            }
+        }
+    }
+}
+
 /// Serve one connection: keep-alive loop of request → route → response,
 /// bounded by [`ConnLimits`] — idle reaping, a whole-request deadline
 /// (slow-loris protection), and a max-requests-per-connection cap.
-fn handle_connection(server: &PortalServer, stream: TcpStream, limits: ConnLimits) {
+fn handle_connection(server: &PortalServer, stream: &TcpStream, limits: ConnLimits) {
     let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else { return };
     // Idle keep-alive connections are reaped, and once a request's first
     // byte arrives the whole head + body must land within the deadline —
-    // a trickling peer cannot park this worker.
+    // a trickling peer cannot park this thread.
     let mut reader =
-        BufReader::new(DeadlineStream::new(&stream, limits.idle_timeout, limits.request_deadline));
-    let mut writer = BufWriter::new(write_half);
+        BufReader::new(DeadlineStream::new(stream, limits.idle_timeout, limits.request_deadline));
+    let mut writer = BufWriter::new(stream);
     let mut served = 0usize;
 
     loop {
@@ -653,7 +653,7 @@ fn handle_connection(server: &PortalServer, stream: TcpStream, limits: ConnLimit
                 break;
             }
             Err(e) => {
-                let status = if matches!(e, ParseError::TooLarge) { 431 } else { 400 };
+                let status = if matches!(e, ParseError::TooLarge { .. }) { 431 } else { 400 };
                 let resp = Response::error(status, &e.to_string());
                 server.metrics.record_request("bad", status, Duration::ZERO, resp.body.len());
                 let _ = http::write_response(&mut writer, &resp, false, true);

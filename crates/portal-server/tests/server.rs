@@ -6,7 +6,9 @@ use sdl_conf::{from_json, ValueExt};
 use sdl_datapub::{AcdcPortal, BlobStore, ExperimentRecord, SampleRecord};
 use sdl_portal_server::client::{self, HttpClient};
 use sdl_portal_server::{spawn, PortalServer, ServerConfig};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 const PLATE_IMAGE: &[u8] = b"BMplate-image-bytes-for-testing";
 
@@ -55,11 +57,9 @@ fn seeded() -> (Arc<AcdcPortal>, Arc<BlobStore>, String) {
 fn live_server() -> (sdl_portal_server::ServerHandle, String) {
     let (portal, store, blob) = seeded();
     let server = PortalServer::new(portal, store);
-    let handle = spawn(
-        server,
-        &ServerConfig { addr: "127.0.0.1:0".into(), threads: 8, ..ServerConfig::default() },
-    )
-    .unwrap();
+    let handle =
+        spawn(server, &ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() })
+            .unwrap();
     (handle, blob)
 }
 
@@ -69,11 +69,9 @@ fn batch_execution_api_over_real_sockets() {
     // the crate's own keep-alive client (request bodies over the wire).
     let server = PortalServer::new(Arc::new(AcdcPortal::new()), Arc::new(BlobStore::in_memory()))
         .with_lab(Arc::new(sdl_portal_server::LabHost::new()));
-    let handle = spawn(
-        server,
-        &ServerConfig { addr: "127.0.0.1:0".into(), threads: 4, ..ServerConfig::default() },
-    )
-    .unwrap();
+    let handle =
+        spawn(server, &ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() })
+            .unwrap();
     let addr = handle.addr();
 
     let mut c = HttpClient::connect(addr).unwrap();
@@ -241,11 +239,9 @@ fn metrics_exposition_parses_and_histograms_agree() {
     let server = PortalServer::new(portal, store)
         .with_lab(Arc::new(sdl_portal_server::LabHost::new()))
         .with_events(events);
-    let handle = spawn(
-        server,
-        &ServerConfig { addr: "127.0.0.1:0".into(), threads: 2, ..ServerConfig::default() },
-    )
-    .unwrap();
+    let handle =
+        spawn(server, &ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() })
+            .unwrap();
     let mut c = HttpClient::connect(handle.addr()).unwrap();
     let routes = [
         "/",
@@ -384,7 +380,7 @@ fn records_stream_live_while_server_runs() {
     let store = Arc::new(BlobStore::in_memory());
     let handle = spawn(
         PortalServer::new(Arc::clone(&portal), store),
-        &ServerConfig { addr: "127.0.0.1:0".into(), threads: 2, ..ServerConfig::default() },
+        &ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() },
     )
     .unwrap();
     let addr = handle.addr();
@@ -408,11 +404,9 @@ fn worker_refuses_bad_session_configs_and_keeps_serving() {
     // parser's limit are 400s, and the worker keeps serving afterwards.
     let server = PortalServer::new(Arc::new(AcdcPortal::new()), Arc::new(BlobStore::in_memory()))
         .with_lab(Arc::new(sdl_portal_server::LabHost::new()));
-    let handle = spawn(
-        server,
-        &ServerConfig { addr: "127.0.0.1:0".into(), threads: 2, ..ServerConfig::default() },
-    )
-    .unwrap();
+    let handle =
+        spawn(server, &ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() })
+            .unwrap();
     let addr = handle.addr();
     let deep = "[".repeat(200_000);
     for (body, why) in [
@@ -505,4 +499,57 @@ fn client_refuses_an_oversized_content_length_before_allocating() {
         assert!(err.to_string().contains("limit"), "{err}");
         fake.join().unwrap();
     }
+}
+
+/// Write `request` on a new connection and read the status line of the
+/// answer, which must begin within a second. The stream is returned open.
+fn status_within_a_second(
+    addr: std::net::SocketAddr,
+    request: &str,
+) -> Result<(u16, TcpStream), String> {
+    use std::io::{BufRead, BufReader, Write};
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+    (&stream).write_all(request.as_bytes()).unwrap();
+    let mut line = String::new();
+    BufReader::new(&stream)
+        .read_line(&mut line)
+        .map_err(|e| format!("no status line within 1 s for {request:?}: {e}"))?;
+    let status = line.split(' ').nth(1).and_then(|s| s.parse().ok());
+    Ok((status.ok_or_else(|| format!("bad status line {line:?}"))?, stream))
+}
+
+#[test]
+fn event_streams_never_starve_other_requests() {
+    // Each admitted connection has its own thread, so event-stream
+    // subscribers (dashboards) hold connection slots, never a shared
+    // worker: sixteen open streams leave every other route answering.
+    let events = Arc::new(sdl_core::EventLog::in_memory());
+    let server = PortalServer::new(Arc::new(AcdcPortal::new()), Arc::new(BlobStore::in_memory()))
+        .with_lab(Arc::new(sdl_portal_server::LabHost::new()))
+        .with_events(events);
+    let handle = spawn(server, &ServerConfig::default()).unwrap();
+    let addr = handle.addr();
+    let streams: Vec<TcpStream> = (0..16)
+        .map(|i| {
+            let (status, stream) =
+                status_within_a_second(addr, "GET /events/stream HTTP/1.1\r\n\r\n")
+                    .unwrap_or_else(|e| panic!("stream {i}: {e}"));
+            assert_eq!(status, 200, "stream {i}");
+            stream
+        })
+        .collect();
+    for request in [
+        "GET /healthz HTTP/1.1\r\n\r\n".to_string(),
+        "GET /metrics HTTP/1.1\r\n\r\n".to_string(),
+        {
+            let body = r#"{"samples": 4, "batch": 2, "publish_images": false}"#;
+            format!("POST /v1/experiments HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len())
+        },
+    ] {
+        let (status, _) = status_within_a_second(addr, &request).unwrap();
+        assert_eq!(status, 200, "{request}");
+    }
+    drop(streams);
+    handle.shutdown();
 }

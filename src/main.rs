@@ -17,7 +17,7 @@
 //!                [--event-log FILE] [--export-portal FILE] [--fingerprint]
 //! sdl-lab portal --import FILE [--experiment ID] [--run N]
 //! sdl-lab serve [--import FILE | --campaign FILE] [--addr HOST:PORT]
-//!               [--threads N] [--campaign-threads T] [--blob-dir DIR]
+//!               [--campaign-threads T] [--blob-dir DIR]
 //!               [--event-log FILE] [--chaos SPEC] [--max-conns N]
 //!               [--quota RATE[:BURST]] [--max-inflight N]
 //!               [--blob-mem-cap BYTES]
@@ -87,7 +87,6 @@ const SERVE_FLAGS: &[(&str, Arg)] = &[
     ("--import", Value),
     ("--campaign", Value),
     ("--addr", Value),
-    ("--threads", Value),
     ("--campaign-threads", Value),
     ("--blob-dir", Value),
     ("--event-log", Value),
@@ -154,7 +153,8 @@ commands:
 Each command refuses a flag it does not take (with a did-you-mean hint), a
 flag given twice, and a flag missing its value; setting flags accept exactly
 the values the matching config key accepts (--samples 0 is refused as
-'samples: 0' is).
+'samples: 0' is), and count flags take digits only, from 1 up
+(--failure-budget from 0).
 
 run options:
   --samples N         sample budget (default 128)
@@ -238,8 +238,6 @@ serve options (no flags = empty portal in lab-worker mode):
                       workers; records stream into the live server as
                       scenario prefixes complete
   --addr HOST:PORT    bind address (default 127.0.0.1:8323; port 0 = ephemeral)
-  --threads N         HTTP worker threads (default 8; thread-per-connection,
-                      so use >= the number of concurrent clients)
   --campaign-threads T campaign worker threads (default: one per core)
   --blob-dir DIR      blob spill directory; with --import, previously
                       spilled plate images are reloaded and served
@@ -250,15 +248,18 @@ serve options (no flags = empty portal in lab-worker mode):
                       'seed=3,stall=0.1,error=0.05,kill=0.01'; keys: seed,
                       stall, error, kill, shed, stall_ms ('/healthz' is never
                       chaos'd, so schedulers can still probe and readmit)
-  --max-conns N       live-connection cap; connections over the cap are
-                      answered 503 + Retry-After at accept, never queued
-                      (default 256; 0 = unlimited)
+  --max-conns N       live-connection cap, the server's one concurrency
+                      bound: each admitted connection gets its own thread;
+                      connections over the cap are answered 503 +
+                      Retry-After at accept, never queued (default 256,
+                      at least 1)
   --quota RATE[:BURST] per-tenant token-bucket quota on the /v1 batch API
                       (tenant = session id); over budget answers 429 +
                       Retry-After, e.g. '50' or '100:200' (RATE tokens/s,
                       BURST bucket size, default BURST = 2*RATE)
   --max-inflight N    cap concurrently executing /v1/batch requests; over
-                      the cap answers 503 + Retry-After (default unlimited)
+                      the cap answers 503 + Retry-After (default: only
+                      --max-conns bounds them)
   --blob-mem-cap B    in-memory blob ceiling in bytes ('64k'/'16m'/'1g'
                       suffixes ok); over the cap the least-recently-used
                       blobs drop to the --blob-dir spill files and reload
@@ -433,14 +434,14 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
 
 fn runner_for(flags: &Flags) -> Result<CampaignRunner, String> {
     let mut runner = CampaignRunner::new();
-    if let Some(v) = flags.value("--threads") {
-        let t: usize = v.parse().map_err(|_| format!("bad --threads '{v}'"))?;
+    if let Some(t) = flags.count("--threads", 1)? {
         runner = runner.threads(t);
     }
     Ok(runner)
 }
 
 fn cmd_sweep(flags: &Flags) -> Result<(), String> {
+    let runner = runner_for(flags)?;
     let mut base = build_config(flags)?;
     base.publish_images = false;
     let batches: Vec<u32> = match flags.value("--batches") {
@@ -448,7 +449,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
         None => vec![1, 2, 4, 8, 16, 32, 64],
     };
     eprintln!("running {} experiments of {} samples...", batches.len(), base.sample_budget);
-    let report = runner_for(flags)?.run(batch_sweep(&base, &batches));
+    let report = runner.run(batch_sweep(&base, &batches));
     println!("{:<6} {:>12} {:>10} {:>8}", "batch", "duration", "best", "plates");
     for result in &report.results {
         let out = result.outcome.as_ref().map_err(|e| format!("{}: {e}", result.label()))?;
@@ -464,6 +465,10 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_campaign(flags: &Flags) -> Result<(), String> {
+    // Counts are checked before anything is read or run.
+    let runner = runner_for(flags)?.progress(true);
+    let shard: Option<usize> = flags.count("--shard", 1)?;
+    let failure_budget: Option<u32> = flags.count("--failure-budget", 0)?;
     // Resume mode: everything — the scenario matrix included — is
     // recovered from the event log, so --config is not accepted.
     if let Some(log_path) = flags.value("--resume") {
@@ -473,7 +478,6 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
                     .into(),
             );
         }
-        let runner = runner_for(flags)?.progress(true);
         eprintln!("resuming campaign from {log_path}...");
         let (report, stats) = runner.resume(log_path).map_err(|e| e.to_string())?;
         if let Some(torn) = &stats.recovery.torn {
@@ -515,10 +519,6 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
         Some(spec) => Some(ChaosPolicy::parse(spec).map_err(|e| format!("bad --chaos: {e}"))?),
         None => None,
     };
-    let failure_budget: Option<u32> = match flags.value("--failure-budget") {
-        Some(v) => Some(v.parse().map_err(|_| format!("bad --failure-budget '{v}'"))?),
-        None => None,
-    };
     if workers.is_empty() && (chaos.is_some() || failure_budget.is_some()) {
         return Err(
             "--chaos/--failure-budget act on the driver-worker wire; they need a worker pool \
@@ -527,7 +527,7 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
         );
     }
     let report = if workers.is_empty() {
-        let mut runner = runner_for(flags)?.progress(true).name(&config.name);
+        let mut runner = runner.name(&config.name);
         if let Some(log) = event_log {
             runner = runner.with_events(log);
         }
@@ -554,14 +554,7 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
         if let Some(budget) = failure_budget {
             scheduler = scheduler.failure_budget(budget);
         }
-        let shard = match flags.value("--shard") {
-            Some(v) => {
-                let s: usize = v.parse().map_err(|_| format!("bad --shard '{v}'"))?;
-                Some(s.max(1))
-            }
-            None => config.shard,
-        };
-        if let Some(s) = shard {
+        if let Some(s) = shard.or(config.shard) {
             scheduler = scheduler.shard_size(s);
         }
         eprintln!(
@@ -584,6 +577,8 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
 /// adversarial conditions × solvers × seeds) through the campaign engine
 /// and fold the report into a per-solver leaderboard.
 fn cmd_stress(flags: &Flags) -> Result<(), String> {
+    let runner = runner_for(flags)?.progress(true).name("stress");
+    let shard: Option<usize> = flags.count("--shard", 1)?;
     let base = build_config(flags)?;
     let base_seed = base.seed;
     let mut suite = StressSuite::new(base);
@@ -610,11 +605,7 @@ fn cmd_stress(flags: &Flags) -> Result<(), String> {
             })
             .collect::<Result<_, _>>()?;
     }
-    if let Some(v) = flags.value("--seeds") {
-        let k: u64 = v.parse().map_err(|_| format!("bad --seeds '{v}'"))?;
-        if k == 0 {
-            return Err("--seeds needs at least one replication".into());
-        }
+    if let Some(k) = flags.count::<u64>("--seeds", 1)? {
         suite.seeds = (0..k).map(|i| base_seed.wrapping_add(i)).collect();
     }
     if suite.is_empty() {
@@ -637,7 +628,7 @@ fn cmd_stress(flags: &Flags) -> Result<(), String> {
         None => Vec::new(),
     };
     let report = if workers.is_empty() {
-        let mut runner = runner_for(flags)?.progress(true).name("stress");
+        let mut runner = runner;
         if let Some(log) = event_log {
             runner = runner.with_events(log);
         }
@@ -657,9 +648,8 @@ fn cmd_stress(flags: &Flags) -> Result<(), String> {
         if let Some(log) = event_log {
             scheduler = scheduler.with_events(log);
         }
-        if let Some(v) = flags.value("--shard") {
-            let s: usize = v.parse().map_err(|_| format!("bad --shard '{v}'"))?;
-            scheduler = scheduler.shard_size(s.max(1));
+        if let Some(s) = shard {
+            scheduler = scheduler.shard_size(s);
         }
         eprintln!(
             "stress suite: {} scenarios across {} workers...",
@@ -712,6 +702,10 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     if import.is_some() && campaign.is_some() {
         return Err("serve takes at most one of --import FILE or --campaign FILE".into());
     }
+    // Counts are checked before anything is read or run.
+    let campaign_threads: Option<usize> = flags.count("--campaign-threads", 1)?;
+    let max_conns: Option<usize> = flags.count("--max-conns", 1)?;
+    let max_inflight: Option<u64> = flags.count("--max-inflight", 1)?;
     if import.is_none() && campaign.is_none() {
         eprintln!(
             "serving an empty portal (worker mode: drive it via 'sdl-lab run --backend remote:<addr>')"
@@ -732,12 +726,12 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             }
             Arc::new(store)
         }
-        None => {
-            if mem_cap.is_some() {
-                eprintln!("--blob-mem-cap ignored without --blob-dir (no spill dir to evict into)");
-            }
-            Arc::new(BlobStore::in_memory())
+        None if mem_cap.is_some() => {
+            return Err(
+                "--blob-mem-cap needs --blob-dir DIR (the spill dir blobs evict into)".into()
+            )
         }
+        None => Arc::new(BlobStore::in_memory()),
     };
 
     if let Some(path) = import {
@@ -779,16 +773,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             .name(&config.name)
             .publish_records(true)
             .progress(true);
-        match flags.value("--campaign-threads") {
-            Some(v) => {
-                let t: usize = v.parse().map_err(|_| format!("bad --campaign-threads '{v}'"))?;
-                runner = runner.threads(t);
-            }
-            None => {
-                if let Some(t) = config.threads {
-                    runner = runner.threads(t);
-                }
-            }
+        if let Some(t) = campaign_threads.or(config.threads) {
+            runner = runner.threads(t);
         }
         eprintln!(
             "campaign '{}': {} scenarios on {} threads (streaming into the live portal)...",
@@ -811,11 +797,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     if let Some(addr) = flags.value("--addr") {
         config.addr = addr.to_string();
     }
-    if let Some(v) = flags.value("--threads") {
-        config.threads = v.parse().map_err(|_| format!("bad --threads '{v}'"))?;
-    }
-    if let Some(v) = flags.value("--max-conns") {
-        config.max_conns = v.parse().map_err(|_| format!("bad --max-conns '{v}'"))?;
+    if let Some(n) = max_conns {
+        config.max_conns = n;
     }
 
     // Every served portal also hosts the batch-execution API, so any
@@ -833,8 +816,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         eprintln!("per-tenant quota armed: {spec} (over budget answers 429 + Retry-After)");
         lab = lab.with_quota(quota);
     }
-    if let Some(v) = flags.value("--max-inflight") {
-        let n: u64 = v.parse().map_err(|_| format!("bad --max-inflight '{v}'"))?;
+    if let Some(n) = max_inflight {
         lab = lab.with_max_inflight(n);
     }
     let mut server = PortalServer::new(portal, store).with_lab(Arc::new(lab));
@@ -939,10 +921,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse("watch", &args[1..], &[WATCH_FLAGS])?;
     let addr = url.strip_prefix("http://").unwrap_or(url).trim_end_matches('/').to_string();
     let once = flags.present("--once");
-    let interval: u64 = match flags.value("--interval-ms") {
-        Some(v) => v.parse().map_err(|_| format!("bad --interval-ms '{v}'"))?,
-        None => 500,
-    };
+    let interval: u64 = flags.count("--interval-ms", 1)?.unwrap_or(500);
     let width = std::env::var("COLUMNS").ok().and_then(|c| c.parse().ok()).unwrap_or(100);
 
     let mut model = ProgressModel::new();
@@ -1053,6 +1032,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
 
 fn cmd_portal(flags: &Flags) -> Result<(), String> {
     let path = flags.value("--import").ok_or("portal needs --import FILE")?;
+    let run: Option<u32> = flags.count("--run", 1)?;
     let portal = AcdcPortal::new();
     let n = portal.import_jsonl(std::path::Path::new(path)).map_err(|e| e.to_string())?;
     eprintln!("loaded {n} records");
@@ -1068,8 +1048,7 @@ fn cmd_portal(flags: &Flags) -> Result<(), String> {
             .ok_or("no experiment records in file")?,
     };
     println!("{}", portal.summary_view(&experiment));
-    if let Some(run) = flags.value("--run") {
-        let run: u32 = run.parse().map_err(|_| format!("bad --run '{run}'"))?;
+    if let Some(run) = run {
         println!("{}", portal.run_detail(&experiment, run));
     }
     Ok(())

@@ -46,7 +46,6 @@ fn chaos_retry() -> RetryPolicy {
         retries: 6,
         base_backoff: Duration::from_millis(1),
         max_backoff: Duration::from_millis(5),
-        ..RetryPolicy::default()
     }
 }
 
@@ -189,7 +188,6 @@ fn poison_worker_quarantines_every_scenario_deterministically() {
             retries: 1,
             base_backoff: Duration::from_millis(5),
             max_backoff: Duration::from_millis(20),
-            ..RetryPolicy::default()
         })
         .failure_budget(1)
         .shard_size(1)
@@ -243,7 +241,7 @@ fn watch_exits_with_an_error_when_its_server_is_killed() {
     )
     .unwrap();
     let mut serve = Command::new(bin)
-        .args(["serve", "--addr", "127.0.0.1:0", "--threads", "2", "--campaign"])
+        .args(["serve", "--addr", "127.0.0.1:0", "--campaign"])
         .arg(&yaml)
         .args(["--campaign-threads", "1"])
         .stdout(Stdio::piped())

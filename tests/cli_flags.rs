@@ -1,18 +1,40 @@
 //! The `sdl-lab` binary refuses flags it does not declare, flags missing
-//! their value and repeated flags, and reads every setting flag through
-//! the config setter, so it refuses what a config document refuses.
+//! their value and repeated flags, reads every setting flag through the
+//! config setter, so it refuses what a config document refuses, and reads
+//! every count flag as strictly.
 
-use std::process::{Command, Output};
+use std::io::Read;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn sdl_lab(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_sdl-lab")).args(args).output().expect("run sdl-lab")
 }
 
-/// Run `args`, expect exit code 1, and return stderr.
+/// Run `args`, expect exit code 1 within 30 s, and return stderr. A
+/// command that is not refused (`serve` would serve forever) is killed.
 fn refused(args: &[&str]) -> String {
-    let out = sdl_lab(args);
-    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert_eq!(out.status.code(), Some(1), "{args:?} was not refused: {stderr}");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sdl-lab"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run sdl-lab");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break Some(status);
+        }
+        if Instant::now() > deadline {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+    assert_eq!(status.and_then(|s| s.code()), Some(1), "{args:?} was not refused: {stderr}");
     stderr
 }
 
@@ -103,4 +125,44 @@ fn watch_keeps_its_positional_url() {
     assert!(err.contains("'--once'"), "{err}");
     let err = refused(&["watch", "--once"]);
     assert!(err.contains("watch needs a server URL"), "{err}");
+}
+
+#[test]
+fn count_flags_take_digits_only_from_one_up() {
+    for (args, flag) in [
+        (&["sweep", "--threads", "0"][..], "--threads"),
+        (&["sweep", "--threads", "+2"], "--threads"),
+        (&["campaign", "--resume", "x.events", "--threads", "0"], "--threads"),
+        (&["campaign", "--config", "c.yaml", "--shard", "0"], "--shard"),
+        (&["campaign", "--config", "c.yaml", "--shard", "1.5"], "--shard"),
+        (&["stress", "--seeds", "0"], "--seeds"),
+        (&["stress", "--seeds", "+1"], "--seeds"),
+        (&["stress", "--shard", "0"], "--shard"),
+        (&["portal", "--import", "x.jsonl", "--run", "0"], "--run"),
+        (&["serve", "--addr", "127.0.0.1:0", "--max-conns", "0"], "--max-conns"),
+        (&["serve", "--addr", "127.0.0.1:0", "--max-inflight", "0"], "--max-inflight"),
+        (&["serve", "--addr", "127.0.0.1:0", "--campaign-threads", "0"], "--campaign-threads"),
+        (&["watch", "http://127.0.0.1:1", "--interval-ms", "0"], "--interval-ms"),
+    ] {
+        let err = refused(args);
+        assert!(
+            err.contains(&format!("{flag} must be a whole number of at least 1")),
+            "{args:?}: {err}"
+        );
+    }
+    // A failure budget of 0 keeps its meaning, "never quarantine": it is
+    // read, and refused only for want of a worker pool.
+    for budget in ["0", "-1"] {
+        let err = refused(&["campaign", "--config", "c.yaml", "--failure-budget", budget]);
+        let count = err.contains("--failure-budget must be a whole number of at least 0");
+        assert_eq!(count, budget == "-1", "{budget}: {err}");
+    }
+}
+
+#[test]
+fn serve_refuses_dropped_and_dangling_flags() {
+    let err = refused(&["serve", "--addr", "127.0.0.1:0", "--threads", "8"]);
+    assert!(err.contains("unknown flag '--threads' for 'serve'"), "{err}");
+    let err = refused(&["serve", "--addr", "127.0.0.1:0", "--blob-mem-cap", "64k"]);
+    assert!(err.contains("--blob-mem-cap needs --blob-dir"), "{err}");
 }

@@ -41,7 +41,7 @@ fn workdir() -> PathBuf {
 fn spawn_serving_campaign(yaml: &PathBuf, log: &PathBuf) -> (ServeGuard, SocketAddr) {
     let bin = env!("CARGO_BIN_EXE_sdl-lab");
     let mut child = Command::new(bin)
-        .args(["serve", "--addr", "127.0.0.1:0", "--threads", "4", "--campaign"])
+        .args(["serve", "--addr", "127.0.0.1:0", "--campaign"])
         .arg(yaml)
         .arg("--event-log")
         .arg(log)
@@ -162,7 +162,7 @@ fn watch_refuses_a_server_without_an_event_log() {
     // and watch reports it cleanly.
     let bin = env!("CARGO_BIN_EXE_sdl-lab");
     let mut child = Command::new(bin)
-        .args(["serve", "--addr", "127.0.0.1:0", "--threads", "2"])
+        .args(["serve", "--addr", "127.0.0.1:0"])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()

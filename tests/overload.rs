@@ -60,8 +60,7 @@ fn quota_sheds_429_with_retry_after_over_real_sockets() {
 
 #[test]
 fn connection_cap_sheds_503_and_recovers_when_load_subsides() {
-    let handle =
-        lab_server(LabHost::new(), ServerConfig { max_conns: 1, threads: 2, ..ephemeral() });
+    let handle = lab_server(LabHost::new(), ServerConfig { max_conns: 1, ..ephemeral() });
     let addr = handle.addr();
 
     // Occupy the single slot with a keep-alive connection (the completed
@@ -216,7 +215,6 @@ fn shed_retry() -> RetryPolicy {
         retries: 8,
         base_backoff: Duration::from_millis(2),
         max_backoff: Duration::from_millis(10),
-        ..RetryPolicy::default()
     }
 }
 

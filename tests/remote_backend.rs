@@ -1,15 +1,18 @@
 //! Backend-interchangeability integration tests: the same scenario run
 //! through `SimBackend`, `RemoteBackend` (against an in-process portal
 //! server hosting the batch-execution API) and `ReplayBackend` must agree.
+//! Fake workers pin the client's wire contract: which failures are
+//! resent, and which responses are refused.
 
 use sdl_lab::core::{
     AppConfig, AppError, BackendSpec, CampaignRunner, Experiment, LabBackend, RemoteBackend,
-    ReplayBackend, ScenarioSpec, SimBackend, TerminationReason,
+    ReplayBackend, RetryPolicy, ScenarioSpec, SimBackend, TerminationReason,
 };
 use sdl_lab::datapub::{AcdcPortal, BlobStore};
-use sdl_lab::portal_server::{spawn, LabHost, PortalServer, ServerConfig};
+use sdl_lab::portal_server::{client, spawn, LabHost, PortalServer, ServerConfig};
 use sdl_lab::solvers::SolverKind;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn worker_server() -> sdl_lab::portal_server::ServerHandle {
     let portal = Arc::new(AcdcPortal::new());
@@ -125,32 +128,74 @@ fn out_of_plates_terminates_identically_on_sim_and_remote() {
     handle.shutdown();
 }
 
-/// A fake worker that answers the first request with `reply` (a status
-/// line and headers), then hangs up.
-fn fake_worker(reply: String) -> (String, std::thread::JoinHandle<()>) {
+/// One step a fake worker takes on an accepted connection.
+enum Step {
+    /// Read one request, head and body.
+    Read,
+    /// Write these bytes.
+    Write(Vec<u8>),
+    /// Keep the connection open, saying nothing, until the peer closes it
+    /// or this long has passed.
+    Hold(Duration),
+}
+
+/// A fake worker: one connection per entry of `script`, each running its
+/// steps and then closing (an empty entry closes without reading). The
+/// thread returns how many connections it accepted, counting any the
+/// script did not expect.
+fn fake_worker(script: Vec<Vec<Step>>) -> (String, std::thread::JoinHandle<usize>) {
     use std::io::{BufRead, BufReader, Read, Write};
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let worker = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut length = 0;
-        loop {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            match line.trim_end().split_once(':') {
-                Some((name, value)) if name.eq_ignore_ascii_case("content-length") => {
-                    length = value.trim().parse().unwrap();
+        for steps in &script {
+            let (stream, _) = listener.accept().unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            for step in steps {
+                match step {
+                    Step::Read => {
+                        let mut length = 0;
+                        loop {
+                            let mut line = String::new();
+                            if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                                break;
+                            }
+                            match line.trim_end().split_once(':') {
+                                Some((name, value))
+                                    if name.eq_ignore_ascii_case("content-length") =>
+                                {
+                                    length = value.trim().parse().unwrap();
+                                }
+                                _ if line.trim_end().is_empty() => break,
+                                _ => {}
+                            }
+                        }
+                        let _ = reader.read_exact(&mut vec![0u8; length]);
+                    }
+                    Step::Write(bytes) => {
+                        let _ = (&stream).write_all(bytes);
+                    }
+                    Step::Hold(limit) => {
+                        stream.set_read_timeout(Some(*limit)).unwrap();
+                        let _ = reader.read_to_end(&mut Vec::new());
+                    }
                 }
-                _ if line.trim_end().is_empty() => break,
-                _ => {}
             }
         }
-        reader.read_exact(&mut vec![0u8; length]).unwrap();
-        (&stream).write_all(reply.as_bytes()).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        script.len() + std::iter::from_fn(|| listener.accept().ok()).count()
     });
     (addr, worker)
 }
+
+/// A response with `status`, the extra `head` lines and `body`.
+fn reply(status: &str, head: &str, body: &str) -> Vec<u8> {
+    format!("HTTP/1.1 {status}\r\n{head}Content-Length: {}\r\n\r\n{body}", body.len()).into_bytes()
+}
+
+/// A `/v1/experiments` answer `RemoteBackend::open` accepts.
+const OPENED: &str = r#"{"session": "s1", "plate_capacity": 96, "dye_channels": 4}"#;
 
 #[test]
 fn oversized_response_length_is_refused_before_allocating() {
@@ -158,8 +203,8 @@ fn oversized_response_length_is_refused_before_allocating() {
     // finite one can exhaust memory: a worker announcing either must be
     // refused with a backend error before anything is allocated.
     for length in ["18446744073709551615", "67108865"] {
-        let reply = format!("HTTP/1.1 200 OK\r\nContent-Length: {length}\r\n\r\n");
-        let (addr, worker) = fake_worker(reply);
+        let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {length}\r\n\r\n");
+        let (addr, worker) = fake_worker(vec![vec![Step::Read, Step::Write(head.into_bytes())]]);
         let mut lab = RemoteBackend::new(addr, config(SolverKind::Random, 4, 2, 61));
         let err = lab.open().unwrap_err();
         assert!(
@@ -167,6 +212,107 @@ fn oversized_response_length_is_refused_before_allocating() {
             "Content-Length {length}: {err}"
         );
         worker.join().unwrap();
+    }
+}
+
+/// Retries fast enough for a test, with a short read timeout.
+fn quick_retry() -> RetryPolicy {
+    RetryPolicy {
+        read_timeout: Duration::from_millis(300),
+        retries: 2,
+        base_backoff: Duration::from_millis(5),
+        max_backoff: Duration::from_millis(50),
+        ..RetryPolicy::default()
+    }
+}
+
+#[test]
+fn a_request_the_worker_never_read_is_resent_once() {
+    // The worker closes the first connection without reading a byte: the
+    // request provably went unread, so it is resent on a new connection.
+    let (addr, worker) =
+        fake_worker(vec![vec![], vec![Step::Read, Step::Write(reply("200 OK", "", OPENED))]]);
+    let mut lab =
+        RemoteBackend::new(addr, config(SolverKind::Random, 4, 2, 62)).with_retry(quick_retry());
+    lab.open().unwrap();
+    let stats = lab.stats();
+    assert_eq!((stats.posts, stats.resends), (1, 1), "{stats:?}");
+    drop(lab);
+    assert_eq!(worker.join().unwrap(), 2);
+}
+
+#[test]
+fn a_silent_worker_times_out_without_a_resend() {
+    // The worker read the request and may be executing it: a read timeout
+    // is a transport failure, never a resend.
+    let (addr, worker) = fake_worker(vec![vec![Step::Read, Step::Hold(Duration::from_secs(3))]]);
+    let mut lab =
+        RemoteBackend::new(addr, config(SolverKind::Random, 4, 2, 63)).with_retry(quick_retry());
+    let err = lab.open().unwrap_err();
+    assert!(matches!(err, AppError::Transport(_)), "{err}");
+    assert_eq!(lab.stats().resends, 0, "{:?}", lab.stats());
+    drop(lab);
+    assert_eq!(worker.join().unwrap(), 1);
+}
+
+#[test]
+fn a_shed_request_is_resent_on_the_same_connection() {
+    let (addr, worker) = fake_worker(vec![vec![
+        Step::Read,
+        Step::Write(reply("429 Too Many Requests", "Retry-After: 1\r\n", "slow down\n")),
+        Step::Read,
+        Step::Write(reply("200 OK", "", OPENED)),
+    ]]);
+    let mut lab =
+        RemoteBackend::new(addr, config(SolverKind::Random, 4, 2, 64)).with_retry(quick_retry());
+    lab.open().unwrap();
+    let stats = lab.stats();
+    assert_eq!((stats.posts, stats.sheds, stats.resends), (1, 1, 0), "{stats:?}");
+    drop(lab);
+    assert_eq!(worker.join().unwrap(), 1, "the resend must reuse the connection");
+}
+
+/// Responses whose framing a client must refuse, each with a valid
+/// `OPENED` body so that a client which accepts the framing succeeds.
+fn unframeable_responses() -> Vec<(&'static str, Vec<u8>)> {
+    let signed = format!("HTTP/1.1 200 OK\r\nContent-Length: +{}\r\n\r\n{OPENED}", OPENED.len());
+    let mut endless = b"HTTP/1.1 200 OK\r\nX-Endless: ".to_vec();
+    endless.resize(endless.len() + 256 * 1024, b'a');
+    let many: String = (0..100).map(|i| format!("X-Header-{i}: {i}\r\n")).collect();
+    vec![
+        ("a signed Content-Length", signed.into_bytes()),
+        ("a header line that never ends", endless),
+        ("100 headers", reply("200 OK", &many, OPENED)),
+    ]
+}
+
+#[test]
+fn remote_backend_refuses_unframeable_responses_promptly() {
+    for (what, bytes) in unframeable_responses() {
+        let script = vec![Step::Read, Step::Write(bytes), Step::Hold(Duration::from_secs(3))];
+        let (addr, worker) = fake_worker(vec![script]);
+        let mut lab = RemoteBackend::new(addr, config(SolverKind::Random, 4, 2, 65))
+            .with_retry(RetryPolicy { read_timeout: Duration::from_secs(30), ..quick_retry() });
+        let started = Instant::now();
+        let err = lab.open().unwrap_err();
+        assert!(matches!(&err, AppError::Backend(_)), "{what}: {err}");
+        assert!(started.elapsed() < Duration::from_secs(1), "{what}: took {:?}", started.elapsed());
+        assert_eq!(lab.stats().resends, 0, "{what}");
+        drop(lab);
+        assert_eq!(worker.join().unwrap(), 1, "{what}");
+    }
+}
+
+#[test]
+fn http_client_refuses_unframeable_responses_promptly() {
+    for (what, bytes) in unframeable_responses() {
+        let script = vec![Step::Read, Step::Write(bytes), Step::Hold(Duration::from_secs(3))];
+        let (addr, worker) = fake_worker(vec![script]);
+        let started = Instant::now();
+        let err = client::get(addr.as_str(), "/healthz").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+        assert!(started.elapsed() < Duration::from_secs(1), "{what}: took {:?}", started.elapsed());
+        assert_eq!(worker.join().unwrap(), 1, "{what}");
     }
 }
 

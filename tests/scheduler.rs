@@ -39,7 +39,6 @@ fn fast_retry() -> RetryPolicy {
         retries: 1,
         base_backoff: Duration::from_millis(5),
         max_backoff: Duration::from_millis(20),
-        ..RetryPolicy::default()
     }
 }
 

@@ -59,8 +59,6 @@ fn serve_answers_http_over_a_saved_export() {
             blobs.to_str().unwrap(),
             "--addr",
             "127.0.0.1:0",
-            "--threads",
-            "4",
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())

@@ -20,7 +20,7 @@ impl Worker {
     fn spawn() -> Worker {
         let bin = env!("CARGO_BIN_EXE_sdl-lab");
         let mut child = Command::new(bin)
-            .args(["serve", "--addr", "127.0.0.1:0", "--threads", "2"])
+            .args(["serve", "--addr", "127.0.0.1:0"])
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
