@@ -8,9 +8,9 @@ use sdl_core::http::ParseError;
 use sdl_core::{EventLog, EventRecord, ProgressModel};
 use sdl_datapub::{render_run_html, render_summary_html, AcdcPortal, BlobRef, BlobStore};
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -569,6 +569,9 @@ pub fn spawn(server: PortalServer, config: &ServerConfig) -> io::Result<ServerHa
             // joins them all: `shutdown` returns only after in-flight
             // requests finish.
             std::thread::scope(|scope| {
+                // Every admitted connection still open, so leaving the
+                // loop can release the ones idling between requests.
+                let mut live: Vec<Weak<TcpStream>> = Vec::new();
                 for conn in listener.incoming() {
                     if accept_shutdown.load(Ordering::SeqCst) {
                         break;
@@ -582,6 +585,8 @@ pub fn spawn(server: PortalServer, config: &ServerConfig) -> io::Result<ServerHa
                     // Shared with the connection thread, so a failed spawn
                     // can still shed the connection.
                     let stream = Arc::new(stream);
+                    live.retain(|c| c.strong_count() > 0);
+                    live.push(Arc::downgrade(&stream));
                     let conn = Arc::clone(&stream);
                     let spawned = std::thread::Builder::new()
                         .name("portal-conn".to_string())
@@ -593,6 +598,13 @@ pub fn spawn(server: PortalServer, config: &ServerConfig) -> io::Result<ServerHa
                         server.metrics.record_connection_closed();
                         shed(server, &stream);
                     }
+                }
+                // A keep-alive connection blocked reading its next request
+                // would hold the scope's join until its idle timeout.
+                // Closing the read half hands that read an EOF; a request
+                // already read is still answered on the open write half.
+                for conn in live.iter().filter_map(Weak::upgrade) {
+                    let _ = conn.shutdown(Shutdown::Read);
                 }
             });
         })?;

@@ -477,6 +477,20 @@ fn shutdown_is_clean_and_idempotent_under_drop() {
 }
 
 #[test]
+fn shutdown_does_not_wait_for_an_idle_keep_alive_client() {
+    // A connection thread blocked reading the next request must not hold
+    // shutdown for the idle timeout (10 s by default).
+    let (handle, _) = live_server();
+    let mut idle = HttpClient::connect(handle.addr()).unwrap();
+    assert_eq!(idle.get("/healthz").unwrap().status, 200);
+    let started = std::time::Instant::now();
+    handle.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?} with an idle client");
+    drop(idle);
+}
+
+#[test]
 fn client_refuses_an_oversized_content_length_before_allocating() {
     use std::io::{BufRead, BufReader, Write};
     // A fake server that answers one request with the given length and no

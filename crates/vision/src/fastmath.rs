@@ -52,16 +52,18 @@ pub(crate) fn fast_sincos_2pi(u: f64) -> (f64, f64) {
     debug_assert!((0.0..1.0).contains(&u));
     // Quarter-phase reduction: 2πu = (π/2)(q + f), q in 0..4, f in [0, 1).
     let s = u * 4.0;
-    // u < 1 so q in 0..=3, where `as i32` and `as u32` agree and `i32`
-    // converts in vector registers.
-    let q = s as i32;
-    let f = s - q as f64;
+    // u < 1 so q is 0.0, 1.0, 2.0 or 3.0, held exactly. The quadrant stays
+    // a float and is selected on by float compares, so the pass stays in
+    // vector registers: an `as i32` cast compiles to a scalar saturating
+    // conversion per lane, reinserted into the vector one lane at a time.
+    let q = s.floor();
+    let f = s - q;
     let (sp, cp) = quarter_sincos(f);
     // q=0: ( sp,  cp)   q=1: ( cp, -sp)   q=2: (-sp, -cp)   q=3: (-cp, sp)
-    let swap = q & 1 == 1;
+    let swap = q == 1.0 || q == 3.0;
     let (a, b) = if swap { (cp, sp) } else { (sp, cp) };
-    let sin_sign = if q >= 2 { -1.0 } else { 1.0 };
-    let cos_sign = if q == 1 || q == 2 { -1.0 } else { 1.0 };
+    let sin_sign = if q >= 2.0 { -1.0 } else { 1.0 };
+    let cos_sign = if q == 1.0 || q == 2.0 { -1.0 } else { 1.0 };
     (a * sin_sign, b * cos_sign)
 }
 
@@ -142,6 +144,39 @@ mod tests {
         assert_eq!(fast_sincos_2pi(0.25), (1.0, -0.0));
         assert_eq!(fast_sincos_2pi(0.5), (-0.0, -1.0));
         assert_eq!(fast_sincos_2pi(0.75), (-1.0, 0.0));
+    }
+
+    #[test]
+    fn float_quadrant_select_matches_the_integer_form() {
+        // The integer quadrant select the float one replaced.
+        fn integer_form(u: f64) -> (f64, f64) {
+            let s = u * 4.0;
+            let q = s as i32;
+            let f = s - q as f64;
+            let (sp, cp) = quarter_sincos(f);
+            let swap = q & 1 == 1;
+            let (a, b) = if swap { (cp, sp) } else { (sp, cp) };
+            let sin_sign = if q >= 2 { -1.0 } else { 1.0 };
+            let cos_sign = if q == 1 || q == 2 { -1.0 } else { 1.0 };
+            (a * sin_sign, b * cos_sign)
+        }
+        let bits = |(s, c): (f64, f64)| (s.to_bits(), c.to_bits());
+        // A dense grid that holds every quadrant edge exactly, then the
+        // 4096 floats on each side of each edge, up to the largest u
+        // below 1.
+        let mut us: Vec<f64> = (0..1u32 << 20).map(|i| i as f64 / (1u32 << 20) as f64).collect();
+        for edge in [0.0, 0.25, 0.5, 0.75, 1.0f64] {
+            let (mut down, mut up) = (edge, edge);
+            for _ in 0..4096 {
+                down = down.next_down();
+                up = up.next_up();
+                us.extend([down, up].into_iter().filter(|u| (0.0..1.0).contains(u)));
+            }
+        }
+        assert!(us.contains(&1.0f64.next_down()));
+        for u in us {
+            assert_eq!(bits(fast_sincos_2pi(u)), bits(integer_form(u)), "u = {u:e}");
+        }
     }
 
     #[test]

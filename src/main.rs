@@ -240,7 +240,9 @@ serve options (no flags = empty portal in lab-worker mode):
   --addr HOST:PORT    bind address (default 127.0.0.1:8323; port 0 = ephemeral)
   --campaign-threads T campaign worker threads (default: one per core)
   --blob-dir DIR      blob spill directory; with --import, previously
-                      spilled plate images are reloaded and served
+                      spilled plate images are reloaded and served (a
+                      file whose content does not hash to its name is
+                      skipped with a warning)
   --event-log FILE    with --campaign: also persist the event stream to FILE
                       (without this flag a campaign still streams /events
                       from an in-memory log; FILE makes it crash-resumable)
@@ -720,6 +722,15 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let store: Arc<BlobStore> = match flags.value("--blob-dir") {
         Some(dir) => {
             let mut store = BlobStore::open_spill_dir(dir).map_err(|e| format!("{dir}: {e}"))?;
+            eprintln!("loaded {} blobs from {dir}", store.len());
+            if store.skipped() > 0 {
+                eprintln!(
+                    "warning: skipped {} blob file(s) in {dir} whose content does not hash to \
+                     their name: damaged, or spilled before the current content hash \
+                     (re-running the seed that made them spills them again)",
+                    store.skipped()
+                );
+            }
             if let Some(cap) = mem_cap {
                 store = store.with_mem_cap(cap);
                 eprintln!("blob memory cap: {cap} bytes (LRU eviction over the spill dir)");

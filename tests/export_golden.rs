@@ -33,20 +33,12 @@ fn workdir() -> PathBuf {
 /// `text` with every `"blob:<16 hex>"` replaced by `"blob#k"`, and the
 /// distinct references in order of first appearance.
 fn number_refs(text: &str) -> (String, Vec<String>) {
-    const PREFIX: &str = "\"blob:";
     let mut refs: Vec<String> = Vec::new();
     let mut out = String::with_capacity(text.len());
     let mut rest = text;
-    while let Some(at) = rest.find(PREFIX) {
-        let hex_start = at + PREFIX.len();
-        let hex = rest.get(hex_start..hex_start + 16).unwrap_or("");
-        let closed = rest.as_bytes().get(hex_start + 16) == Some(&b'"');
-        if !closed || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-            out.push_str(&rest[..hex_start]);
-            rest = &rest[hex_start..];
-            continue;
-        }
-        let r = format!("blob:{hex}");
+    while let Some(at) = rest.find("\"blob:") {
+        // `"` + `blob:` + 16 hex digits + `"`.
+        let r = rest[at + 1..at + 22].to_string();
         let k = match refs.iter().position(|x| *x == r) {
             Some(i) => i + 1,
             None => {
@@ -56,7 +48,7 @@ fn number_refs(text: &str) -> (String, Vec<String>) {
         };
         out.push_str(&rest[..at]);
         out.push_str(&format!("\"blob#{k}\""));
-        rest = &rest[hex_start + 17..];
+        rest = &rest[at + 23..];
     }
     out.push_str(rest);
     (out, refs)

@@ -17,8 +17,8 @@ impl Drop for ServeGuard {
     }
 }
 
-fn workdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sdl-serve-cli-{}", std::process::id()));
+fn workdir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("sdl-serve-cli-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -27,7 +27,7 @@ fn workdir() -> PathBuf {
 #[test]
 fn serve_answers_http_over_a_saved_export() {
     let bin = env!("CARGO_BIN_EXE_sdl-lab");
-    let dir = workdir();
+    let dir = workdir("export");
     let export = dir.join("portal.jsonl");
     let blobs = dir.join("blobs");
 
@@ -105,5 +105,47 @@ fn serve_answers_http_over_a_saved_export() {
     assert!(metrics.text().contains("sdl_portal_requests_total"));
 
     drop(guard);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn serve_warns_about_spill_files_that_fail_verification() {
+    let bin = env!("CARGO_BIN_EXE_sdl-lab");
+    let dir = workdir("skipped");
+    let blobs = dir.join("blobs");
+    let run = Command::new(bin)
+        .args(["run", "--samples", "4", "--batch", "2", "--blob-dir"])
+        .arg(&blobs)
+        .output()
+        .expect("run sdl-lab run");
+    assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+    let spilled: Vec<PathBuf> =
+        std::fs::read_dir(&blobs).unwrap().map(|e| e.unwrap().path()).collect();
+    assert_eq!(spilled.len(), 2, "one frame per imaged batch");
+    // A real frame under a name it does not hash to, as a damaged file or
+    // one spilled under an older content hash would be.
+    std::fs::copy(&spilled[0], blobs.join("blob_0000000000000000.bin")).unwrap();
+
+    let mut child = Command::new(bin)
+        .args(["serve", "--blob-dir"])
+        .arg(&blobs)
+        .args(["--addr", "127.0.0.1:0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn sdl-lab serve");
+    let stdout = child.stdout.take().unwrap();
+    let mut stderr = child.stderr.take().unwrap();
+    let guard = ServeGuard(child);
+    // The blob dir is loaded before the banner is printed.
+    let mut banner = String::new();
+    BufReader::new(stdout).read_line(&mut banner).unwrap();
+    assert!(banner.starts_with("serving on "), "unexpected banner: {banner:?}");
+    drop(guard);
+    let mut log = String::new();
+    std::io::Read::read_to_string(&mut stderr, &mut log).unwrap();
+    assert!(log.contains(&format!("loaded 2 blobs from {}", blobs.display())), "{log}");
+    assert!(log.contains("warning: skipped 1 blob file(s)"), "{log}");
+    assert!(log.contains("damaged, or spilled before the current content hash"), "{log}");
     let _ = std::fs::remove_dir_all(dir);
 }
