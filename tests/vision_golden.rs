@@ -16,6 +16,12 @@
 //! Floats are written as their IEEE bit patterns, so a line matches only
 //! when every value is bit-identical. On a mismatch the test writes the
 //! whole computed file next to the test binaries and names its path.
+//!
+//! `tests/data/vision_noiseless.golden` holds the FNV-1a digest of each
+//! frame of the same matrix rendered with `noise_sigma = 0`. Every normal
+//! then adds `σ·z = ±0.0`, so those bytes pin materials, vignette, drift
+//! gains and the quantizer apart from the noise sampler: a sampler change
+//! moves the first golden and must leave the second untouched.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,6 +33,7 @@ use sdl_lab::vision::{
 use std::fmt::Write as _;
 
 const GOLDEN: &str = include_str!("data/vision_frames.golden");
+const NOISELESS: &str = include_str!("data/vision_noiseless.golden");
 
 /// A scene with `fill` wells filled (row-major from A1) in a fixed palette.
 fn filled(fill: usize) -> PlateScene {
@@ -200,26 +207,44 @@ fn computed() -> String {
     out
 }
 
+/// One `name\tfnv=<digest>` line per frame of the matrix at `noise_sigma = 0`
+/// (same render seeds as [`computed`]).
+fn noiseless_computed() -> String {
+    let mut out = String::new();
+    for (i, (name, mut scene)) in frames().into_iter().enumerate() {
+        scene.lighting.noise_sigma = 0.0;
+        let img = render(&scene, &mut StdRng::seed_from_u64(0x5EED_0000 + i as u64));
+        let _ = writeln!(out, "{name}\tfnv={:016x}", fnv1a64(img.bytes()));
+    }
+    out
+}
+
+/// Compare a computed golden with the recorded one line by line; on a
+/// mismatch, write the computed file under `file_name` next to the test
+/// binaries first.
+fn assert_matches_golden(got: &str, golden: &str, file_name: &str) {
+    if got == golden {
+        return;
+    }
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(file_name);
+    std::fs::write(&path, got).expect("write the computed golden");
+    for (i, (want, have)) in golden.lines().zip(got.lines()).enumerate() {
+        assert_eq!(have, want, "line {} of {file_name} (computed file: {})", i + 1, path.display());
+    }
+    assert_eq!(
+        got.lines().count(),
+        golden.lines().count(),
+        "frame count of {file_name} (computed file: {})",
+        path.display()
+    );
+}
+
 #[test]
 fn frames_and_readings_match_the_recorded_golden() {
-    let got = computed();
-    if got != GOLDEN {
-        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("vision_frames.golden");
-        std::fs::write(&path, &got).expect("write the computed golden");
-        for (i, (want, have)) in GOLDEN.lines().zip(got.lines()).enumerate() {
-            assert_eq!(
-                have,
-                want,
-                "line {} of the vision golden (computed file: {})",
-                i + 1,
-                path.display()
-            );
-        }
-        assert_eq!(
-            got.lines().count(),
-            GOLDEN.lines().count(),
-            "frame count (computed file: {})",
-            path.display()
-        );
-    }
+    assert_matches_golden(&computed(), GOLDEN, "vision_frames.golden");
+}
+
+#[test]
+fn noiseless_frames_match_the_recorded_golden() {
+    assert_matches_golden(&noiseless_computed(), NOISELESS, "vision_noiseless.golden");
 }
