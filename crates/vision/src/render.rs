@@ -16,8 +16,9 @@
 //! costs of the old path are gone too — both Box–Muller variates of each
 //! uniform pair are consumed, the sRGB encode goes through the
 //! [`SrgbQuantizer`] cutpoint table instead of `powf`, and marker/well
-//! geometry is hoisted into a per-scene [`SceneIndex`] so the inner loop
-//! stops re-testing rectangles.
+//! geometry is hoisted into a per-scene [`SceneIndex`] that colours each
+//! row by runs: one span for the marker card, one for the plate split into
+//! one run per well cell, with the radius tests only inside a run.
 //!
 //! The frozen pre-optimization path ([`Fidelity::Full`]) lives in
 //! [`crate::reference`] and remains bit-identical to the historical
@@ -31,6 +32,7 @@ use crate::reference::render_reference_into;
 use rand::counter::{mix64, unit_f64, unit_f64_open0, GAMMA};
 use rand::Rng;
 use sdl_color::{LinRgb, Rgb8, SrgbQuantizer};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Camera pose jitter for one frame.
@@ -298,23 +300,38 @@ impl<'a> FramePlan<'a> {
         }
     }
 
+    /// The scene point (plate-local mm) of each pixel center of the row at
+    /// `ry` px below the shifted frame center: walking one pixel right
+    /// moves the point by a fixed mm step, accumulated by `+=` (the frame
+    /// bytes depend on these exact sums).
+    fn row_positions(&self, ry: f64, xs: &mut [f64], ys: &mut [f64]) {
+        let cam = &self.scene.camera;
+        let inv_s = 1.0 / cam.px_per_mm;
+        let (sin_t, cos_t) = (self.sin_t, self.cos_t);
+        let (step_x, step_y) = (cos_t * inv_s, -sin_t * inv_s);
+        let rx0 = 0.5 - self.cx;
+        let mut mm_x = (rx0 * cos_t + ry * sin_t) * inv_s + cam.look_at_mm.0;
+        let mut mm_y = (-rx0 * sin_t + ry * cos_t) * inv_s + cam.look_at_mm.1;
+        for (x, y) in xs.iter_mut().zip(ys) {
+            (*x, *y) = (mm_x, mm_y);
+            mm_x += step_x;
+            mm_y += step_y;
+        }
+    }
+
     /// Render rows `[row0, row0 + rows)` of the frame into `out` (the
     /// tile's interleaved RGB bytes; its length determines the row count).
     ///
-    /// Each row is cut into segments of [`SEGMENT_BYTES`] output bytes, and
-    /// each segment runs four passes: noise, a scalar material lookup, a
-    /// branch-free light pass, then the sRGB encode. A segment's buffers
-    /// stay in L1 between passes; a whole row's would not.
+    /// Each row first fills its base colours by runs
+    /// ([`SceneIndex::fill_row`]). It is then cut into segments of
+    /// [`SEGMENT_BYTES`] output bytes, and each segment runs three passes:
+    /// noise, a branch-free light pass, then the sRGB encode. A segment's
+    /// buffers stay in L1 between passes.
     fn render_rows(&self, row0: usize, out: &mut [u8]) {
         let scene = self.scene;
         let cam = &scene.camera;
         let w = cam.width_px;
         debug_assert_eq!(out.len() % (w * 3), 0);
-        let inv_s = 1.0 / cam.px_per_mm;
-        let (sin_t, cos_t) = (self.sin_t, self.cos_t);
-        // Walking one pixel right moves the scene point by a fixed mm step.
-        let step_x = cos_t * inv_s;
-        let step_y = -sin_t * inv_s;
         let sigma = scene.lighting.noise_sigma;
 
         // Noise indexing: channel `c` of pixel `(px, py)` consumes standard
@@ -325,16 +342,16 @@ impl<'a> FramePlan<'a> {
         // independently.
         let pairs_per_row = (3 * w).div_ceil(2);
         let mut z = [0.0f64; SEGMENT_BYTES];
-        let mut base = [0.0f64; SEGMENT_BYTES];
         let mut lin = [0.0f64; SEGMENT_BYTES];
+        let (mut xs, mut ys) = (vec![0.0f64; w], vec![0.0f64; w]);
+        let mut base = vec![0.0f64; 3 * w];
 
         for (r, row_bytes) in out.chunks_exact_mut(w * 3).enumerate() {
             let py = row0 + r;
             let row_base = py as u64 * pairs_per_row as u64;
             let ry = py as f64 + 0.5 - self.cy;
-            let rx0 = 0.5 - self.cx;
-            let mut mm_x = (rx0 * cos_t + ry * sin_t) * inv_s + cam.look_at_mm.0;
-            let mut mm_y = (-rx0 * sin_t + ry * cos_t) * inv_s + cam.look_at_mm.1;
+            self.row_positions(ry, &mut xs, &mut ys);
+            self.index.fill_row(&xs, &ys, &mut base);
             let gain_row = scene.lighting.gain - self.vig_b * ry * ry;
 
             for (s, seg_bytes) in row_bytes.chunks_mut(SEGMENT_BYTES).enumerate() {
@@ -350,16 +367,9 @@ impl<'a> FramePlan<'a> {
                     );
                 }
 
-                for px in base[..n].chunks_exact_mut(3) {
-                    let m = self.index.material(mm_x, mm_y);
-                    px.copy_from_slice(&[m.r, m.g, m.b]);
-                    mm_x += step_x;
-                    mm_y += step_y;
-                }
-
                 let cols = s * SEGMENT_BYTES..s * SEGMENT_BYTES + n;
-                let (vig, gain) = (&self.col_vig[cols.clone()], &self.col_gain[cols]);
-                let (lin, base, z) = (&mut lin[..n], &base[..n], &z[..n]);
+                let (vig, gain) = (&self.col_vig[cols.clone()], &self.col_gain[cols.clone()]);
+                let (lin, base, z) = (&mut lin[..n], &base[cols], &z[..n]);
                 for i in 0..n {
                     lin[i] =
                         (base[i] * (gain_row - vig[i]) * gain[i] + sigma * z[i]).clamp(0.0, 1.0);
@@ -418,8 +428,8 @@ fn noise_chunk(frame_seed: u64, j0: u64, z: &mut [f64; 2 * NOISE_CHUNK]) {
 
 /// Per-scene geometry hoisted out of the pixel loop: marker cells resolved
 /// into a flat color grid, wells into squared-radius material spans. Built
-/// once per frame; `material` then runs without rectangle re-tests,
-/// divisions or square roots.
+/// once per frame; [`SceneIndex::fill_row`] then colours a row by runs,
+/// without rectangle re-tests, divisions or square roots per pixel.
 struct SceneIndex {
     // Marker backing card (quiet zone included): an 8×8 color grid.
     mk_x: f64,
@@ -501,8 +511,122 @@ impl SceneIndex {
         }
     }
 
-    /// The material color at a scene point (plate-local mm coordinates).
+    /// Fill one row's base colours, `base[3·i + c]` for pixel `i`, with
+    /// the material at scene point `(xs[i], ys[i])`: exactly
+    /// `material(xs[i], ys[i])` for every pixel.
+    ///
+    /// Along a row each coordinate moves by one fixed step (a `+=` chain,
+    /// and `fl(v + step)` is monotone in `v`), so every bound test below is
+    /// monotone in `i` and holds on a prefix or a suffix of the row. The
+    /// marker card and the plate therefore cover one span each, found by
+    /// binary search. The nearest-well column and row are monotone too, so
+    /// the plate span splits into one run per well cell, and only inside a
+    /// run do the radius tests run per pixel.
+    fn fill_row(&self, xs: &[f64], ys: &[f64], base: &mut [f64]) {
+        let n = xs.len();
+        let marker = [
+            holds_on(xs, |x| x - self.mk_x >= 0.0),
+            holds_on(xs, |x| x - self.mk_x < self.mk_size),
+            holds_on(ys, |y| y - self.mk_y >= 0.0),
+            holds_on(ys, |y| y - self.mk_y < self.mk_size),
+        ]
+        .into_iter()
+        .fold(0..n, meet);
+        let plate = [
+            holds_on(xs, |x| x >= 0.0),
+            holds_on(xs, |x| x < self.plate_w),
+            holds_on(ys, |y| y >= 0.0),
+            holds_on(ys, |y| y < self.plate_h),
+        ]
+        .into_iter()
+        .fold(0..n, meet);
+
+        // The marker card takes precedence over the plate.
+        for part in [0..marker.start, marker.end..n] {
+            let on_plate = meet(part.clone(), plate.clone());
+            fill(&mut base[3 * part.start..3 * on_plate.start], BENCH);
+            self.fill_plate(xs, ys, on_plate.clone(), base);
+            fill(&mut base[3 * on_plate.end..3 * part.end], BENCH);
+        }
+        for i in marker {
+            let gx = (((xs[i] - self.mk_x) * self.mk_inv_cell) as usize).min(7);
+            let gy = (((ys[i] - self.mk_y) * self.mk_inv_cell) as usize).min(7);
+            let m = self.mk_grid[gy * 8 + gx];
+            base[3 * i..3 * i + 3].copy_from_slice(&[m.r, m.g, m.b]);
+        }
+    }
+
+    /// The plate part of [`SceneIndex::fill_row`]: pixels `span` all lie on
+    /// the plate and off the marker card.
+    fn fill_plate(&self, xs: &[f64], ys: &[f64], span: Range<usize>, base: &mut [f64]) {
+        if span.is_empty() {
+            return;
+        }
+        // Well pitches moved per pixel, to guess where each run ends.
+        let n = xs.len();
+        let per_px = |vs: &[f64]| (vs[n - 1] - vs[0]) / (n - 1) as f64 * self.inv_pitch;
+        let (du, dv) = (per_px(xs), per_px(ys));
+        let mut i = span.start;
+        while i < span.end {
+            // One run: the pixels from `i` on whose nearest well is `i`'s.
+            // `same` holds on a prefix of `i..span.end`; a guess from the
+            // geometry lands within a pixel or two of its end, and walking
+            // from the guess finds the exact end.
+            let (col, row) = (self.col_of(xs[i]), self.row_of(ys[i]));
+            let same = |k: usize| self.col_of(xs[k]) == col && self.row_of(ys[k]) == row;
+            let ahead =
+                pixels_to_next_cell((xs[i] - self.a1_x) * self.inv_pitch, col, self.max_col, du)
+                    .min(pixels_to_next_cell(
+                        (ys[i] - self.a1_y) * self.inv_pitch,
+                        row,
+                        self.max_row,
+                        dv,
+                    ))
+                    .min((span.end - i) as f64);
+            let mut end = (i + ahead.ceil() as usize).clamp(i + 1, span.end);
+            while end < span.end && same(end) {
+                end += 1;
+            }
+            while end > i + 1 && !same(end - 1) {
+                end -= 1;
+            }
+            let well = &self.wells[grid_index(row) * self.cols + grid_index(col)];
+            // Liquid (or empty-well) disk, wall ring, or plate body: with
+            // `r2_inner <= r2_wall`, the number of radii a pixel lies beyond
+            // picks the material without a branch.
+            let palette = [well.inner, WELL_WALL, PLATE_BODY];
+            let run = (&xs[i..end], &ys[i..end]);
+            for (px, (x, y)) in
+                base[3 * i..3 * end].chunks_exact_mut(3).zip(run.0.iter().zip(run.1))
+            {
+                let dx = x - well.cx;
+                let dy = y - well.cy;
+                let d2 = dx * dx + dy * dy;
+                let m = palette[(d2 > well.r2_inner) as usize + (d2 > well.r2_wall) as usize];
+                px.copy_from_slice(&[m.r, m.g, m.b]);
+            }
+            i = end;
+        }
+    }
+
+    /// The nearest well column of scene x-coordinate `x` on the plate, as
+    /// an integer-valued float.
     #[inline]
+    fn col_of(&self, x: f64) -> f64 {
+        ((x - self.a1_x) * self.inv_pitch).round().clamp(0.0, self.max_col)
+    }
+
+    /// The nearest well row of scene y-coordinate `y` on the plate, as an
+    /// integer-valued float.
+    #[inline]
+    fn row_of(&self, y: f64) -> f64 {
+        ((y - self.a1_y) * self.inv_pitch).round().clamp(0.0, self.max_row)
+    }
+
+    /// The material color at a scene point (plate-local mm coordinates),
+    /// one point at a time: the oracle [`SceneIndex::fill_row`] is tested
+    /// against.
+    #[cfg(test)]
     fn material(&self, x: f64, y: f64) -> LinRgb {
         // Marker backing card (cells and quiet zone share the grid).
         let ux = x - self.mk_x;
@@ -515,10 +639,7 @@ impl SceneIndex {
 
         // Plate: nearest well by grid rounding, then squared-distance spans.
         if x >= 0.0 && x < self.plate_w && y >= 0.0 && y < self.plate_h {
-            let col =
-                grid_index(((x - self.a1_x) * self.inv_pitch).round().clamp(0.0, self.max_col));
-            let row =
-                grid_index(((y - self.a1_y) * self.inv_pitch).round().clamp(0.0, self.max_row));
+            let (col, row) = (grid_index(self.col_of(x)), grid_index(self.row_of(y)));
             let well = &self.wells[row * self.cols + col];
             let dx = x - well.cx;
             let dy = y - well.cy;
@@ -533,6 +654,45 @@ impl SceneIndex {
         }
 
         BENCH
+    }
+}
+
+/// The index range of `vs` where `pred` holds, for a monotone sequence
+/// `vs` and a `pred` monotone in its argument: such a `pred` holds on a
+/// prefix or on a suffix of `vs`, so its ends decide which.
+fn holds_on(vs: &[f64], pred: impl Fn(f64) -> bool) -> Range<usize> {
+    match (vs.first().map(|&v| pred(v)), vs.last().map(|&v| pred(v))) {
+        (Some(true), Some(true)) => 0..vs.len(),
+        (Some(true), Some(false)) => 0..vs.partition_point(|&v| pred(v)),
+        (Some(false), Some(true)) => vs.partition_point(|&v| !pred(v))..vs.len(),
+        _ => 0..0,
+    }
+}
+
+/// Pixels until the cell index `c` of a point at cell coordinate `u`
+/// changes, moving `du` cells per pixel, where indices round to the nearest
+/// integer and clamp to `0..=max`; infinite when it never changes.
+fn pixels_to_next_cell(u: f64, c: f64, max: f64, du: f64) -> f64 {
+    if du > 0.0 && c < max {
+        (c + 0.5 - u) / du
+    } else if du < 0.0 && c > 0.0 {
+        (c - 0.5 - u) / du
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// The intersection of two index ranges, as a sub-range of `a` (empty
+/// ranges keep a start inside `a`).
+fn meet(a: Range<usize>, b: Range<usize>) -> Range<usize> {
+    let start = a.start.max(b.start).min(a.end);
+    start..a.end.min(b.end).max(start)
+}
+
+/// Fill interleaved RGB floats with one colour.
+fn fill(base: &mut [f64], m: LinRgb) {
+    for px in base.chunks_exact_mut(3) {
+        px.copy_from_slice(&[m.r, m.g, m.b]);
     }
 }
 
@@ -691,6 +851,44 @@ mod tests {
         let reading = crate::pipeline::Detector::default().detect(&img).unwrap();
         let well = reading.well(2, 3).unwrap();
         assert!(well.color.r > well.color.g + 40, "C4 at lowres: {}", well.color);
+    }
+
+    #[test]
+    fn row_runs_match_the_per_pixel_material_lookup() {
+        // Random plates (0–96 filled wells), poses far past the camera's
+        // jitter (±40 px, ±30°) and every third frame at lowres: each row's
+        // run fill must equal the per-pixel lookup at every pixel.
+        use rand::Rng as _;
+        let mut rng = StdRng::seed_from_u64(0x5CA1E);
+        let (mut checked, mut marker_rows) = (0usize, 0usize);
+        for f in 0..96 {
+            let mut scene = PlateScene::empty_plate();
+            if f % 3 == 2 {
+                scene.camera = CameraGeometry::for_fidelity(Fidelity::Lowres);
+            }
+            scene.marker_id = f % 8;
+            for w in 0..rng.gen_range(0..=96usize) {
+                let c = LinRgb::new(rng.gen_range(0.0..0.7), rng.gen_range(0.0..0.7), 0.2);
+                scene.set_well(w / 12, w % 12, c);
+            }
+            scene.pose = Pose::jittered(&mut rng, 40.0, 30.0);
+            let plan = FramePlan::new(&scene, 0);
+            let w = scene.camera.width_px;
+            let (mut xs, mut ys, mut base) = (vec![0.0; w], vec![0.0; w], vec![0.0; 3 * w]);
+            for py in 0..scene.camera.height_px {
+                plan.row_positions(py as f64 + 0.5 - plan.cy, &mut xs, &mut ys);
+                plan.index.fill_row(&xs, &ys, &mut base);
+                let mut on_marker = false;
+                for (i, px) in base.chunks_exact(3).enumerate() {
+                    let m = plan.index.material(xs[i], ys[i]);
+                    assert_eq!(px, [m.r, m.g, m.b], "frame {f}, pixel ({i}, {py})");
+                    on_marker |= m == MARKER_BLACK;
+                }
+                marker_rows += on_marker as usize;
+                checked += w;
+            }
+        }
+        assert!(checked > 15_000_000 && marker_rows > 1000, "{checked} px, {marker_rows}");
     }
 
     #[test]
