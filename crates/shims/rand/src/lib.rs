@@ -79,8 +79,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// a *counter-based* field instead derives each variate directly from
 /// `(seed, counter)` through a stateless splitmix-style hash, so any subset
 /// of the stream can be evaluated in any order — or in parallel — with
-/// bit-identical results. This is what makes tiled parallel rendering
-/// deterministic at any tile size and thread count.
+/// bit-identical results. The drift axes and the chaos schedule draw from
+/// it; the renderer's noise field keys its own 32-bit counter hash.
 pub mod counter {
     /// The splitmix64 finalizer: a full-avalanche bijective mix of 64 bits.
     #[inline]
@@ -91,7 +91,7 @@ pub mod counter {
     }
 
     /// The splitmix64 increment (the golden-ratio `gamma`).
-    pub const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+    const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
     /// The `index`-th word of the stream keyed by `seed`: the splitmix64
     /// construction (finalize `seed + index·gamma`) evaluated at an
@@ -107,19 +107,10 @@ pub mod counter {
     /// `[0, 1)` via the mantissa trick: plant 52 random bits under a fixed
     /// exponent to build a float in `[1, 2)`, then subtract 1. Unlike the
     /// shift-and-scale construction this needs no u64→f64 conversion, so
-    /// it auto-vectorizes — which the tiled renderer's noise field relies
-    /// on.
+    /// it auto-vectorizes.
     #[inline]
     pub fn unit_f64(bits: u64) -> f64 {
         f64::from_bits(0x3ff0_0000_0000_0000 | (bits >> 12)) - 1.0
-    }
-
-    /// Map 64 random bits to a uniform f64 in the half-open interval
-    /// `(0, 1]` — the safe domain for `ln` in Box–Muller transforms. Same
-    /// mantissa construction as [`unit_f64`], mirrored about 1.
-    #[inline]
-    pub fn unit_f64_open0(bits: u64) -> f64 {
-        2.0 - f64::from_bits(0x3ff0_0000_0000_0000 | (bits >> 12))
     }
 }
 
@@ -483,17 +474,12 @@ mod tests {
 
     #[test]
     fn counter_units_stay_in_their_intervals() {
-        use crate::counter::{hash, unit_f64, unit_f64_open0};
+        use crate::counter::{hash, unit_f64};
         for i in 0..4096u64 {
-            let b = hash(3, i);
-            let u = unit_f64(b);
+            let u = unit_f64(hash(3, i));
             assert!((0.0..1.0).contains(&u), "unit_f64 out of [0,1): {u}");
-            let v = unit_f64_open0(b);
-            assert!(v > 0.0 && v <= 1.0, "unit_f64_open0 out of (0,1]: {v}");
         }
         assert_eq!(unit_f64(0), 0.0);
-        assert_eq!(unit_f64_open0(0), 1.0);
-        assert!(unit_f64_open0(u64::MAX) > 0.0);
         assert!(unit_f64(u64::MAX) < 1.0);
     }
 }

@@ -9,27 +9,32 @@
 //!
 //! The default path ([`Fidelity::Fast`] / [`Fidelity::Lowres`]) derives
 //! each pixel's Gaussian noise from `(frame_seed, pixel, channel)` through
-//! a counter-based splitmix hash ([`rand::counter`]) instead of one
-//! sequential RNG stream. Rendering is therefore embarrassingly parallel:
-//! [`render_tiled`] splits the frame into row tiles and produces
-//! bit-identical bytes at any tile size and thread count. The per-pixel
-//! costs of the old path are gone too — both Box–Muller variates of each
-//! uniform pair are consumed, the sRGB encode goes through the
-//! [`SrgbQuantizer`] cutpoint table instead of `powf`, and marker/well
-//! geometry is hoisted into a per-scene [`SceneIndex`] that colours each
-//! row by runs: one span for the marker card, one for the plate split into
-//! one run per well cell, with the radius tests only inside a run.
+//! a 32-bit counter hash keyed by both halves of the frame seed, instead
+//! of one sequential RNG stream. Rendering is therefore embarrassingly
+//! parallel: [`render_tiled`] splits the frame into row tiles and produces
+//! bit-identical bytes at any tile size and thread count. Each Box–Muller
+//! pair takes two 24-bit uniforms from the hash, and its `ln`, `sqrt` and
+//! sin/cos run in f32 with the pure-arithmetic kernels of
+//! `crate::fastmath`, 8 lanes per AVX2 register; the variates are widened
+//! to f64 for the light pass. The 24-bit `u1` bounds every variate at
+//! `|z| <= 5.77` (an exact normal exceeds that with probability ~8e-9,
+//! about 0.007 of a 640×480 frame's 921,600 normals). The per-pixel costs
+//! of the old path are gone too — both Box–Muller variates of each pair
+//! are consumed, the sRGB encode goes through the [`SrgbQuantizer`]
+//! cutpoint table instead of `powf`, and marker/well geometry is hoisted
+//! into a per-scene [`SceneIndex`] that colours each row by runs: one span
+//! for the marker card, one for the plate split into one run per well
+//! cell, with the radius tests only inside a run.
 //!
 //! The frozen pre-optimization path ([`Fidelity::Full`]) lives in
 //! [`crate::reference`] and remains bit-identical to the historical
 //! renderer; [`render`] dispatches on [`CameraGeometry::fidelity`].
 
 use crate::aruco::cell_is_white;
-use crate::fastmath::{fast_ln, fast_sincos_2pi, grid_index};
+use crate::fastmath::{grid_index, ln_f32, noise_hash, sincos_2pi_f32};
 use crate::image::ImageRgb8;
 use crate::layout::{CameraGeometry, Fidelity, MarkerLayout, PlateLayout};
 use crate::reference::render_reference_into;
-use rand::counter::{mix64, unit_f64, unit_f64_open0, GAMMA};
 use rand::Rng;
 use sdl_color::{LinRgb, Rgb8, SrgbQuantizer};
 use std::ops::Range;
@@ -247,7 +252,8 @@ struct FramePlan<'a> {
     scene: &'a PlateScene,
     index: SceneIndex,
     quant: &'static SrgbQuantizer,
-    frame_seed: u64,
+    /// The frame seed's low and high halves, which key the noise hash.
+    noise_key: [u32; 2],
     /// Frame-center offset after the pose shift, px.
     cx: f64,
     cy: f64,
@@ -289,7 +295,7 @@ impl<'a> FramePlan<'a> {
             scene,
             index: SceneIndex::new(scene),
             quant: quantizer(),
-            frame_seed,
+            noise_key: [frame_seed as u32, (frame_seed >> 32) as u32],
             cx,
             cy,
             sin_t,
@@ -361,7 +367,7 @@ impl<'a> FramePlan<'a> {
                     z[..n.next_multiple_of(2 * NOISE_CHUNK)].chunks_exact_mut(2 * NOISE_CHUNK);
                 for (ci, chunk) in chunks.enumerate() {
                     noise_chunk(
-                        self.frame_seed,
+                        self.noise_key,
                         first_pair + (ci * NOISE_CHUNK) as u64,
                         chunk.try_into().expect("chunk size"),
                     );
@@ -384,45 +390,38 @@ impl<'a> FramePlan<'a> {
 /// noise chunks (a multiple of `2 · NOISE_CHUNK` normals).
 const SEGMENT_BYTES: usize = 3 * 2 * NOISE_CHUNK;
 
-/// Box–Muller pairs per generation chunk: large enough that the uniform,
+/// Box–Muller pairs per generation chunk: large enough that the hash,
 /// log/sqrt and phase passes each auto-vectorize over plain arrays.
 const NOISE_CHUNK: usize = 64;
 
-/// `k·γ` for every lane `k` of a chunk's counters, with `γ` the splitmix
-/// increment: `hash(seed, i + k)` is `mix64((seed + i·γ) + k·γ)` in
-/// wrapping arithmetic, so a chunk needs one multiply for its base.
-const LANE_OFFSETS: [u64; 2 * NOISE_CHUNK] = {
-    let mut t = [0u64; 2 * NOISE_CHUNK];
-    let mut k = 0;
-    while k < t.len() {
-        t[k] = (k as u64).wrapping_mul(GAMMA);
-        k += 1;
-    }
-    t
-};
-
 /// Evaluate counter-stream Box–Muller pairs `j0 .. j0 + NOISE_CHUNK`,
-/// writing both variates of pair `k` to `z[2k]` / `z[2k + 1]`. Three
-/// branch-free array passes (uniforms, radius, phase) so the compiler can
-/// keep the divide/sqrt/polynomial work in SIMD lanes.
+/// writing both variates of pair `k` to `z[2k]` / `z[2k + 1]`.
+///
+/// Pair `j` takes 24 bits of hash words `2j` and `2j + 1` (counters mod
+/// 2^32): `u1 = (a + 1)·2^-24` in (0, 1] and the phase `b·2^-24` in
+/// [0, 1). Three branch-free array passes (hash, radius, phase) run in
+/// f32 and 8 lanes per AVX2 register; the variates are widened to f64 for
+/// the light pass. The smallest `u1` bounds every variate at
+/// `|z| <= sqrt(48·ln 2) ≈ 5.77`.
 #[inline]
-fn noise_chunk(frame_seed: u64, j0: u64, z: &mut [f64; 2 * NOISE_CHUNK]) {
-    // Pair `j` draws counters `2j` and `2j + 1`.
-    let base = frame_seed.wrapping_add((2 * j0).wrapping_mul(GAMMA));
-    let mut u1 = [0.0f64; NOISE_CHUNK];
-    let mut u2 = [0.0f64; NOISE_CHUNK];
-    for ((u1, u2), lanes) in u1.iter_mut().zip(&mut u2).zip(LANE_OFFSETS.chunks_exact(2)) {
-        *u1 = unit_f64_open0(mix64(base.wrapping_add(lanes[0])));
-        *u2 = unit_f64(mix64(base.wrapping_add(lanes[1])));
+fn noise_chunk(key: [u32; 2], j0: u64, z: &mut [f64; 2 * NOISE_CHUNK]) {
+    let c0 = (j0 as u32).wrapping_mul(2);
+    let mut u1 = [0.0f32; NOISE_CHUNK];
+    let mut phase = [0u32; NOISE_CHUNK];
+    for (k, (u1, phase)) in u1.iter_mut().zip(&mut phase).enumerate() {
+        let c = c0.wrapping_add(2 * k as u32);
+        // Below 2^25, so the conversion is exact and takes the signed form.
+        *u1 = ((noise_hash(key, c) >> 8) + 1) as i32 as f32 * (1.0 / (1 << 24) as f32);
+        *phase = noise_hash(key, c.wrapping_add(1)) >> 8;
     }
-    let mut radius = [0.0f64; NOISE_CHUNK];
+    let mut radius = [0.0f32; NOISE_CHUNK];
     for (r, u1) in radius.iter_mut().zip(&u1) {
-        *r = (-2.0 * fast_ln(*u1)).sqrt();
+        *r = (-2.0 * ln_f32(*u1)).sqrt();
     }
-    for (k, (u2, r)) in u2.iter().zip(&radius).enumerate() {
-        let (s, c) = fast_sincos_2pi(*u2);
-        z[2 * k] = r * c;
-        z[2 * k + 1] = r * s;
+    for (k, (phase, r)) in phase.iter().zip(&radius).enumerate() {
+        let (s, c) = sincos_2pi_f32(*phase);
+        z[2 * k] = (r * c) as f64;
+        z[2 * k + 1] = (r * s) as f64;
     }
 }
 
@@ -889,6 +888,93 @@ mod tests {
             }
         }
         assert!(checked > 15_000_000 && marker_rows > 1000, "{checked} px, {marker_rows}");
+    }
+
+    /// The standard normal CDF, through the Chebyshev fit of `erfc` in
+    /// Numerical Recipes (fractional error below 1.2e-7).
+    fn normal_cdf(x: f64) -> f64 {
+        let z = x.abs() / std::f64::consts::SQRT_2;
+        let t = 1.0 / (1.0 + 0.5 * z);
+        let poly = -z * z - 1.265_512_23
+            + t * (1.000_023_68
+                + t * (0.374_091_96
+                    + t * (0.096_784_18
+                        + t * (-0.186_288_06
+                            + t * (0.278_868_07
+                                + t * (-1.135_203_98
+                                    + t * (1.488_515_87
+                                        + t * (-0.822_152_23 + t * 0.170_872_77))))))));
+        let erfc = t * poly.exp();
+        if x >= 0.0 {
+            1.0 - 0.5 * erfc
+        } else {
+            0.5 * erfc
+        }
+    }
+
+    #[test]
+    fn noise_sampler_matches_the_standard_normal() {
+        // 2^22 normals from each of two frame seeds, in the order a row
+        // consumes them. Each statistic is bounded at about five standard
+        // errors of its value under an exact N(0, 1) sample, so a biased
+        // hash, a wrong kernel or a lost variate fails, and noise does not.
+        const N: usize = 1 << 22;
+        let se = |v: f64| 5.0 * (v / N as f64).sqrt();
+        for seed in [0x5EED_0000_0000_0001u64, 0x0123_4567_89ab_cdef] {
+            let key = [seed as u32, (seed >> 32) as u32];
+            let mut zs = Vec::with_capacity(N);
+            let mut chunk = [0.0; 2 * NOISE_CHUNK];
+            for j0 in (0..N / 2).step_by(NOISE_CHUNK) {
+                noise_chunk(key, j0 as u64, &mut chunk);
+                zs.extend_from_slice(&chunk);
+            }
+            let n = N as f64;
+            let mean = zs.iter().sum::<f64>() / n;
+            let moment = |p: i32| zs.iter().map(|z| (z - mean).powi(p)).sum::<f64>() / n;
+            let var = moment(2);
+            let skew = moment(3) / var.powf(1.5);
+            let kurt = moment(4) / (var * var);
+            let tail = |t: f64| zs.iter().filter(|z| z.abs() > t).count() as f64 / n;
+            let (tail2, tail3) = (tail(2.0), tail(3.0));
+            let lag = |l: usize| {
+                zs.iter().zip(&zs[l..]).map(|(a, b)| (a - mean) * (b - mean)).sum::<f64>()
+                    / ((n - l as f64) * var)
+            };
+            let (lag1, lag3) = (lag(1), lag(3));
+            let (p2, p3) = (2.0 * normal_cdf(-2.0), 2.0 * normal_cdf(-3.0));
+            // Kolmogorov–Smirnov distance, taken at bin edges 2^-13 apart
+            // over [-6, 6] (every |z| is below 5.78): at most one bin's
+            // mass, under 5e-5, below the distance over all points.
+            const BINS_PER_UNIT: f64 = 8192.0;
+            let mut counts = vec![0u32; (12.0 * BINS_PER_UNIT) as usize];
+            for z in &zs {
+                counts[((z + 6.0) * BINS_PER_UNIT) as usize] += 1;
+            }
+            let (mut below, mut ks) = (0u64, 0.0f64);
+            for (b, count) in counts.iter().enumerate() {
+                below += *count as u64;
+                let edge = (b + 1) as f64 / BINS_PER_UNIT - 6.0;
+                ks = ks.max((below as f64 / n - normal_cdf(edge)).abs());
+            }
+            let (lo, hi) = zs.iter().fold((0.0f64, 0.0f64), |(lo, hi), &z| (lo.min(z), hi.max(z)));
+            let stats = format!(
+                "seed {seed:#x}: mean {mean:.5} var {var:.5} skew {skew:.5} kurt {kurt:.4} \
+                 P(|z|>2) {tail2:.5} P(|z|>3) {tail3:.5} lag1 {lag1:.5} lag3 {lag3:.5} KS {ks:.5}"
+            );
+            eprintln!("{stats}");
+            assert!(mean.abs() < se(1.0), "{stats}");
+            assert!((var - 1.0).abs() < se(2.0), "{stats}");
+            assert!(skew.abs() < se(6.0), "{stats}");
+            assert!((kurt - 3.0).abs() < se(24.0), "{stats}");
+            assert!((tail2 - p2).abs() < se(p2 * (1.0 - p2)), "{stats}");
+            assert!((tail3 - p3).abs() < se(p3 * (1.0 - p3)), "{stats}");
+            assert!(lag1.abs() < se(1.0) && lag3.abs() < se(1.0), "{stats}");
+            // Kolmogorov: P(sqrt(n)·D > 2.7) ≈ 2·exp(-2·2.7²) ≈ 1e-6.
+            assert!(ks * n.sqrt() < 2.7, "{stats}");
+            // The tail the 24-bit `u1` allows: sqrt(-2 ln 2^-24).
+            let bound = (48.0 * std::f64::consts::LN_2).sqrt() + 1e-6;
+            assert!(lo >= -bound && hi <= bound, "{lo} {hi}");
+        }
     }
 
     #[test]
