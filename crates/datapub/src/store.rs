@@ -114,6 +114,8 @@ pub struct BlobStore {
     /// `.bin` files `open_spill_dir` left out: their content does not hash
     /// to their name.
     skipped: usize,
+    /// `.bin` files `open_spill_dir` verified, in memory or left on disk.
+    verified: usize,
 }
 
 impl BlobStore {
@@ -132,7 +134,8 @@ impl BlobStore {
     /// Builder: cap in-memory blob bytes at `cap` (`0` = unbounded).
     /// Without a spill directory the cap is ignored — evicting a blob
     /// that exists nowhere else would lose it. Applies immediately to
-    /// anything already held (e.g. after [`BlobStore::open_spill_dir`]).
+    /// anything already held; to reopen a spill directory under a cap,
+    /// [`BlobStore::open_spill_dir_capped`] never loads past it.
     pub fn with_mem_cap(self, cap: usize) -> BlobStore {
         let store = BlobStore { mem_cap: cap, ..self };
         {
@@ -147,11 +150,25 @@ impl BlobStore {
     /// Files whose content no longer matches their name are skipped and
     /// counted in [`BlobStore::skipped`].
     pub fn open_spill_dir(dir: impl Into<PathBuf>) -> std::io::Result<BlobStore> {
+        BlobStore::open_spill_dir_capped(dir, 0)
+    }
+
+    /// [`BlobStore::open_spill_dir`] under an in-memory ceiling of `cap`
+    /// bytes (`0` = unbounded), as [`BlobStore::with_mem_cap`] sets. Every
+    /// `.bin` is verified as there, but a blob is kept in memory only
+    /// while it fits under the cap; the rest stay on disk, where `get`
+    /// reloads and verifies them. Loading therefore never holds more than
+    /// the cap plus one file, where opening first and capping after would
+    /// hold the whole directory. [`BlobStore::verified`] counts both kinds.
+    pub fn open_spill_dir_capped(
+        dir: impl Into<PathBuf>,
+        cap: usize,
+    ) -> std::io::Result<BlobStore> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let mut store = BlobStore::with_spill_dir(&dir);
+        let mut store = BlobStore { mem_cap: cap, ..BlobStore::with_spill_dir(&dir) };
         store.spill_ready.store(true, std::sync::atomic::Ordering::Release);
-        let mut skipped = 0;
+        let (mut verified, mut skipped) = (0, 0);
         let mut inner = store.inner.lock();
         for entry in std::fs::read_dir(&dir)? {
             let path = entry?.path();
@@ -161,16 +178,20 @@ impl BlobStore {
             }
             let data = Bytes::from(std::fs::read(&path)?);
             let r = BlobRef::from_hash(content_hash(&data));
-            if r.0.replace(':', "_") + ".bin" == name {
+            if r.0.replace(':', "_") + ".bin" != name {
+                skipped += 1;
+                continue;
+            }
+            verified += 1;
+            if cap == 0 || inner.bytes + data.len() <= cap {
                 let stamp = store.tick();
                 inner.bytes += data.len();
                 inner.blobs.insert(r, Entry { data, stamp, durable: true });
-            } else {
-                skipped += 1;
             }
         }
         drop(inner);
         store.skipped = skipped;
+        store.verified = verified;
         Ok(store)
     }
 
@@ -323,6 +344,13 @@ impl BlobStore {
         self.reloads.load(std::sync::atomic::Ordering::Relaxed)
     }
 
+    /// `blob_*.bin` files [`BlobStore::open_spill_dir`] verified against
+    /// their names: the blobs it held in memory plus any a cap left on
+    /// disk.
+    pub fn verified(&self) -> usize {
+        self.verified
+    }
+
     /// `blob_*.bin` files [`BlobStore::open_spill_dir`] skipped because
     /// their content does not hash to their name: the file is damaged, or
     /// it was spilled under an older content hash.
@@ -410,6 +438,30 @@ mod tests {
         assert_eq!(reopened.len(), 1);
         assert_eq!(reopened.skipped(), 1);
         assert!(reopened.get(&a).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn capped_reopen_verifies_everything_and_holds_only_the_cap() {
+        let dir = std::env::temp_dir().join(format!("sdl-blob-capped-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let refs: Vec<BlobRef> = {
+            let store = BlobStore::with_spill_dir(&dir);
+            (0..6u8).map(|i| store.put(Bytes::from(vec![i; 10]))).collect()
+        };
+        std::fs::write(dir.join("blob_0000000000000000.bin"), b"not its name").unwrap();
+        let store = BlobStore::open_spill_dir_capped(&dir, 25).unwrap();
+        assert_eq!((store.verified(), store.skipped()), (6, 1));
+        assert_eq!((store.len(), store.total_bytes(), store.mem_cap()), (2, 20, 25));
+        // Blobs left on disk come back verified, under the same cap.
+        for (i, r) in refs.iter().enumerate() {
+            assert_eq!(store.get(r).unwrap(), Bytes::from(vec![i as u8; 10]));
+            assert!(store.total_bytes() <= 25);
+        }
+        assert!(store.reloads() >= 4);
+        // Uncapped, every verified blob is in memory.
+        let all = BlobStore::open_spill_dir(&dir).unwrap();
+        assert_eq!((all.verified(), all.len(), all.skipped()), (6, 6, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -263,9 +263,10 @@ serve options (no flags = empty portal in lab-worker mode):
                       the cap answers 503 + Retry-After (default: only
                       --max-conns bounds them)
   --blob-mem-cap B    in-memory blob ceiling in bytes ('64k'/'16m'/'1g'
-                      suffixes ok); over the cap the least-recently-used
-                      blobs drop to the --blob-dir spill files and reload
-                      hash-verified on demand (needs --blob-dir)
+                      suffixes ok), loading --blob-dir included; over the
+                      cap the least-recently-used blobs drop to the
+                      --blob-dir spill files and reload hash-verified on
+                      demand (needs --blob-dir)
   (SIGTERM drains gracefully: new sessions are refused 503, in-flight
   batches finish, the event log is flushed, then the process exits 0)
 
@@ -721,8 +722,11 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     };
     let store: Arc<BlobStore> = match flags.value("--blob-dir") {
         Some(dir) => {
-            let mut store = BlobStore::open_spill_dir(dir).map_err(|e| format!("{dir}: {e}"))?;
-            eprintln!("loaded {} blobs from {dir}", store.len());
+            // Capped, the load keeps only what fits in memory and leaves
+            // the rest on disk for `get`.
+            let store = BlobStore::open_spill_dir_capped(dir, mem_cap.unwrap_or(0))
+                .map_err(|e| format!("{dir}: {e}"))?;
+            eprintln!("loaded {} blobs from {dir}", store.verified());
             if store.skipped() > 0 {
                 eprintln!(
                     "warning: skipped {} blob file(s) in {dir} whose content does not hash to \
@@ -732,7 +736,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
                 );
             }
             if let Some(cap) = mem_cap {
-                store = store.with_mem_cap(cap);
                 eprintln!("blob memory cap: {cap} bytes (LRU eviction over the spill dir)");
             }
             Arc::new(store)

@@ -149,3 +149,91 @@ fn serve_warns_about_spill_files_that_fail_verification() {
     assert!(log.contains("damaged, or spilled before the current content hash"), "{log}");
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// `VmHWM` (peak resident set) of a live process, in bytes.
+#[cfg(target_os = "linux")]
+fn peak_rss_bytes(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).unwrap();
+    let kb: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().strip_suffix("kB"))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no VmHWM in /proc/{pid}/status"));
+    kb * 1024
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn blob_mem_cap_bounds_the_spill_dir_load() {
+    use sdl_lab::datapub::BlobStore;
+    let bin = env!("CARGO_BIN_EXE_sdl-lab");
+    let dir = workdir("memcap");
+    let blobs = dir.join("blobs");
+    // 24 distinct frame-sized blobs (22 MB), as `run --samples 96
+    // --batch 4 --blob-dir` spills.
+    const FRAME: usize = 921_654;
+    let store = BlobStore::with_spill_dir(&blobs);
+    let mut x = 0x9e37_79b9u32;
+    for _ in 0..24 {
+        let frame: Vec<u8> = (0..FRAME)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect();
+        store.put(bytes::Bytes::from(frame));
+    }
+    drop(store);
+    let files: Vec<PathBuf> =
+        std::fs::read_dir(&blobs).unwrap().map(|e| e.unwrap().path()).collect();
+    assert_eq!(files.len(), 24);
+
+    // Serve the dir with and without a cap; the whole dir is loaded (or
+    // left on disk) before the banner, so VmHWM then covers the load.
+    let serve = |cap: Option<&str>| {
+        let mut cmd = Command::new(bin);
+        cmd.args(["serve", "--blob-dir"]).arg(&blobs).args(["--addr", "127.0.0.1:0"]);
+        if let Some(cap) = cap {
+            cmd.args(["--blob-mem-cap", cap]);
+        }
+        let mut child =
+            cmd.stdout(Stdio::piped()).stderr(Stdio::piped()).spawn().expect("spawn serve");
+        let stdout = child.stdout.take().unwrap();
+        let stderr = child.stderr.take().unwrap();
+        let mut banner = String::new();
+        BufReader::new(stdout).read_line(&mut banner).unwrap();
+        let addr: SocketAddr = banner
+            .trim()
+            .strip_prefix("serving on http://")
+            .unwrap_or_else(|| panic!("unexpected banner: {banner:?}"))
+            .parse()
+            .unwrap();
+        let peak = peak_rss_bytes(child.id());
+        let guard = ServeGuard(child);
+        (guard, addr, peak, stderr)
+    };
+    let (guard, _, uncapped, _) = serve(None);
+    drop(guard);
+    let (guard, addr, capped, mut stderr) = serve(Some("2m"));
+    // Every frame is still served byte for byte: at most two from memory,
+    // the rest reloaded from disk and verified.
+    for f in &files {
+        let name = f.file_stem().unwrap().to_str().unwrap();
+        let r = name.replacen("blob_", "blob:", 1);
+        let got = client::get(addr, &format!("/blobs/{r}")).unwrap();
+        assert_eq!(got.status, 200, "{r}");
+        assert!(got.body == std::fs::read(f).unwrap(), "{r} served other bytes");
+    }
+    drop(guard);
+    let mut log = String::new();
+    std::io::Read::read_to_string(&mut stderr, &mut log).unwrap();
+    assert!(log.contains(&format!("loaded 24 blobs from {}", blobs.display())), "{log}");
+    assert!(
+        uncapped >= capped + 15 * 1024 * 1024,
+        "peak RSS {capped} B capped vs {uncapped} B uncapped"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
