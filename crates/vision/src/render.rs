@@ -410,7 +410,7 @@ fn noise_chunk(key: [u32; 2], j0: u64, z: &mut [f64; 2 * NOISE_CHUNK]) {
     let mut phase = [0u32; NOISE_CHUNK];
     for (k, (u1, phase)) in u1.iter_mut().zip(&mut phase).enumerate() {
         let c = c0.wrapping_add(2 * k as u32);
-        // Below 2^25, so the conversion is exact and takes the signed form.
+        // At most 2^24, so the conversion is exact and takes the signed form.
         *u1 = ((noise_hash(key, c) >> 8) + 1) as i32 as f32 * (1.0 / (1 << 24) as f32);
         *phase = noise_hash(key, c.wrapping_add(1)) >> 8;
     }
