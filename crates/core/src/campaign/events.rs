@@ -34,9 +34,11 @@
 
 use crate::app::AppError;
 use crate::campaign::report::ScenarioOutcome;
+use crate::config::AppConfig;
 use crate::multi::MultiOt2Outcome;
 use crate::termination::TerminationReason;
 use sdl_conf::{from_json, to_json, Value, ValueExt};
+use sdl_datapub::SampleRecord;
 use sdl_desim::SimDuration;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read as _, Seek, SeekFrom, Write as _};
@@ -417,6 +419,46 @@ impl CampaignEvent {
             CampaignEvent::CampaignResumed { .. } => "campaign_resumed",
             CampaignEvent::CampaignClosed { .. } => "campaign_closed",
         }
+    }
+
+    /// The portal record of a `sample_published` event in a scenario run
+    /// under `config` (`None` for every other kind). The config supplies
+    /// the experiment id, the sample's target (`target_at(sample − 1)`) and
+    /// the dyes that turn ratios into volumes. The batch's `timing` log and
+    /// `image_ref` are not in the event; the publisher adds them.
+    pub fn sample_record(&self, config: &AppConfig) -> Option<SampleRecord> {
+        let CampaignEvent::SamplePublished {
+            run,
+            sample,
+            well,
+            ratios,
+            measured,
+            score,
+            best,
+            elapsed_us,
+            batch_wall_us,
+            ..
+        } = self
+        else {
+            return None;
+        };
+        Some(SampleRecord {
+            experiment_id: config.experiment_id(),
+            run: *run,
+            sample: *sample,
+            well: well.clone(),
+            ratios: ratios.clone(),
+            volumes_ul: sdl_color::Recipe::from_ratios(ratios, &config.dyes)
+                .map(|r| r.volumes_ul().to_vec())
+                .unwrap_or_default(),
+            measured: *measured,
+            target: config.target_at(sample.saturating_sub(1)).channels(),
+            score: *score,
+            best_so_far: *best,
+            elapsed_s: *elapsed_us as f64 / 1e6,
+            batch_wall_s: Some(*batch_wall_us as f64 / 1e6),
+            image_ref: None,
+        })
     }
 
     /// True for events that force an immediate fsync: losing them would

@@ -93,39 +93,14 @@ impl CampaignRunner {
                         m.last_attempt = Some(m.last_attempt.map_or(*attempt, |a| a.max(*attempt)));
                     }
                 }
-                CampaignEvent::SamplePublished {
-                    index,
-                    attempt,
-                    run,
-                    sample,
-                    well,
-                    ratios,
-                    measured,
-                    score,
-                    best,
-                    elapsed_us,
-                    batch_wall_us,
-                } => {
+                CampaignEvent::SamplePublished { index, attempt, .. } => {
                     let (Some(m), Some(spec)) =
                         (mined.get_mut(*index), specs.as_ref().and_then(|s| s.get(*index)))
                     else {
                         continue;
                     };
-                    m.samples.entry(*attempt).or_default().push(SampleRecord {
-                        experiment_id: spec.config.experiment_id(),
-                        run: *run,
-                        sample: *sample,
-                        well: well.clone(),
-                        ratios: ratios.clone(),
-                        volumes_ul: Vec::new(),
-                        measured: *measured,
-                        target: spec.config.target.channels(),
-                        score: *score,
-                        best_so_far: *best,
-                        elapsed_s: *elapsed_us as f64 / 1e6,
-                        batch_wall_s: Some(*batch_wall_us as f64 / 1e6),
-                        image_ref: None,
-                    });
+                    let record = rec.event.sample_record(&spec.config);
+                    m.samples.entry(*attempt).or_default().extend(record);
                 }
                 CampaignEvent::ScenarioFinished { index, attempt, summary, .. } => {
                     if let Some(m) = mined.get_mut(*index) {

@@ -4,7 +4,10 @@
 //! [`Experiment`] owns the decision and data side of a run — solver,
 //! measurement history, trajectory, termination criteria and portal
 //! publication — and knows nothing about *how* batches get executed. A
-//! driver asks it for proposals and tells it results:
+//! driver asks it for proposals and tells it results; each told sample
+//! becomes one `sample_published` [`CampaignEvent`], and its portal record
+//! is that event's projection ([`CampaignEvent::sample_record`]),
+//! published with the batch's frame on the caller's thread:
 //!
 //! ```
 //! use sdl_core::{AppConfig, Experiment, LabBackend, SimBackend};
@@ -32,9 +35,7 @@ use crate::config::AppConfig;
 use crate::termination::TerminationReason;
 use rand::rngs::StdRng;
 use sdl_color::Rgb8;
-use sdl_datapub::{
-    AcdcPortal, BlobStore, ExperimentRecord, FlowJob, FlowStats, PublishFlow, SampleRecord,
-};
+use sdl_datapub::{AcdcPortal, BlobStore, ExperimentRecord, FlowStats, SampleRecord};
 use sdl_desim::RngHub;
 use sdl_solvers::{ColorSolver, Observation};
 use std::sync::Arc;
@@ -50,22 +51,19 @@ pub struct Experiment {
     runs: u32,
     portal: Arc<AcdcPortal>,
     store: Arc<BlobStore>,
-    flow: Option<PublishFlow>,
+    flow_stats: FlowStats,
     announced: bool,
     termination: Option<TerminationReason>,
     events: Option<EventScope>,
 }
 
 impl Experiment {
-    /// Start a session: build the solver, derive its RNG stream, open the
-    /// publication flow.
+    /// Start a session: build the solver, derive its RNG stream, open an
+    /// empty portal and blob store to publish into.
     pub fn new(config: AppConfig) -> Result<Experiment, AppError> {
         let solver =
             config.build_solver(config.dyes.len()).map_err(|e| AppError::Setup(e.to_string()))?;
         let hub = RngHub::new(config.seed);
-        let portal = Arc::new(AcdcPortal::new());
-        let store = Arc::new(BlobStore::in_memory());
-        let flow = PublishFlow::start(Arc::clone(&portal), Arc::clone(&store));
         Ok(Experiment {
             solver,
             solver_rng: hub.stream("app.solver"),
@@ -73,9 +71,9 @@ impl Experiment {
             trajectory: Vec::new(),
             samples_done: 0,
             runs: 0,
-            portal,
-            store,
-            flow: Some(flow),
+            portal: Arc::new(AcdcPortal::new()),
+            store: Arc::new(BlobStore::in_memory()),
+            flow_stats: FlowStats::default(),
             announced: false,
             termination: None,
             events: None,
@@ -169,21 +167,22 @@ impl Experiment {
             return;
         }
         self.announced = true;
-        if let Some(flow) = &self.flow {
-            flow.publish(FlowJob {
-                records: vec![ExperimentRecord {
-                    experiment_id: self.config.experiment_id(),
-                    name: self.config.experiment_name.clone(),
-                    date: self.config.date.clone(),
-                    target: self.config.target.channels(),
-                    solver: self.config.solver_label().to_string(),
-                    batch: self.config.batch,
-                    sample_budget: self.config.sample_budget,
-                }
-                .to_value()],
-                image: None,
-            });
-        }
+        let record = ExperimentRecord {
+            experiment_id: self.config.experiment_id(),
+            name: self.config.experiment_name.clone(),
+            date: self.config.date.clone(),
+            target: self.config.target.channels(),
+            solver: self.config.solver_label().to_string(),
+            batch: self.config.batch,
+            sample_budget: self.config.sample_budget,
+        };
+        sdl_datapub::publish(
+            &self.portal,
+            &self.store,
+            vec![record.to_value()],
+            None,
+            &mut self.flow_stats,
+        );
     }
 
     /// Propose the next batch, or `None` once a termination criterion is
@@ -228,9 +227,10 @@ impl Experiment {
     }
 
     /// Feed one executed batch back: grade each measurement, extend the
-    /// history and trajectory, publish the batch's sample records (one
-    /// flow job carrying the batch's frame), and evaluate the
-    /// match-threshold termination criterion.
+    /// history and trajectory, log each sample's `sample_published` event
+    /// (when a scope is attached), publish the events' sample records with
+    /// the batch's frame, and evaluate the match-threshold termination
+    /// criterion.
     pub fn tell(&mut self, batch: &Batch, result: BatchResult) -> Result<(), AppError> {
         if result.measurements.len() != batch.ratios.len() {
             return Err(AppError::Setup(format!(
@@ -249,10 +249,10 @@ impl Experiment {
                 batch_wall_us: result.batch_wall.as_micros(),
             });
         }
+        let (index, attempt) = self.events.as_ref().map_or((0, 0), |s| (s.index, s.attempt));
         let mut records = Vec::with_capacity(batch.ratios.len());
-        for (i, (ratio, m)) in batch.ratios.iter().zip(&result.measurements).enumerate() {
+        for (ratio, m) in batch.ratios.iter().zip(&result.measurements) {
             let measured = m.color;
-            let target_now = self.config.target_at(self.samples_done);
             let score = self.config.score_measurement(measured, self.samples_done);
             self.history.push(Observation { ratios: ratio.clone(), measured, score });
             self.samples_done += 1;
@@ -264,55 +264,36 @@ impl Experiment {
                 score,
                 best,
             });
+            let event = CampaignEvent::SamplePublished {
+                index,
+                attempt,
+                run: batch.run,
+                sample: self.samples_done,
+                well: m.well.to_string(),
+                ratios: ratio.clone(),
+                measured: measured.channels(),
+                score,
+                best,
+                elapsed_us: result.elapsed.as_micros(),
+                batch_wall_us: result.batch_wall.as_micros(),
+            };
             if let Some(scope) = &self.events {
-                scope.emit(&CampaignEvent::SamplePublished {
-                    index: scope.index,
-                    attempt: scope.attempt,
-                    run: batch.run,
-                    sample: self.samples_done,
-                    well: m.well.to_string(),
-                    ratios: ratio.clone(),
-                    measured: measured.channels(),
-                    score,
-                    best,
-                    elapsed_us: result.elapsed.as_micros(),
-                    batch_wall_us: result.batch_wall.as_micros(),
-                });
+                scope.emit(&event);
             }
-            if self.flow.is_some() {
-                let volumes = sdl_color::Recipe::from_ratios(ratio, &self.config.dyes)
-                    .map(|r| r.volumes_ul().to_vec())
-                    .unwrap_or_default();
-                let mut record = SampleRecord {
-                    experiment_id: self.config.experiment_id(),
-                    run: batch.run,
-                    sample: self.samples_done,
-                    well: m.well.to_string(),
-                    ratios: ratio.clone(),
-                    volumes_ul: volumes,
-                    measured: measured.channels(),
-                    target: target_now.channels(),
-                    score,
-                    best_so_far: best,
-                    elapsed_s: result.elapsed.as_secs_f64(),
-                    batch_wall_s: Some(result.batch_wall.as_secs_f64()),
-                    image_ref: None,
-                }
-                .to_value();
-                // "The data created includes … the timing of each step"
-                // (§2.3): the iteration's workflow log rides with its first
-                // sample.
-                if i == 0 {
-                    if let Some(timing) = &result.timing {
-                        record.set("timing", timing.clone());
-                    }
-                }
-                records.push(record);
-            }
+            records.extend(event.sample_record(&self.config).map(|r| r.to_value()));
         }
-        if let Some(flow) = &self.flow {
-            flow.publish(FlowJob { records, image: result.image });
+        // "The data created includes … the timing of each step" (§2.3): the
+        // iteration's workflow log rides with its first sample.
+        if let (Some(first), Some(timing)) = (records.first_mut(), &result.timing) {
+            first.set("timing", timing.clone());
         }
+        sdl_datapub::publish(
+            &self.portal,
+            &self.store,
+            records,
+            result.image,
+            &mut self.flow_stats,
+        );
 
         // Check: target matched?
         if let Some(threshold) = self.config.match_threshold {
@@ -332,13 +313,9 @@ impl Experiment {
         self.termination.get_or_insert(reason);
     }
 
-    /// Finish the session: close the publication flow and combine the
-    /// session's state with the backend's final accounting.
+    /// Finish the session: combine the session's state with the
+    /// backend's final accounting.
     pub fn outcome(&mut self, close: BackendClose) -> ExperimentOutcome {
-        let flow_stats = match self.flow.take() {
-            Some(flow) => flow.close(),
-            None => FlowStats::default(),
-        };
         let best = sdl_solvers::best_observation(&self.history);
         let (best_score, best_ratios) =
             best.map(|o| (o.score, o.ratios.clone())).unwrap_or((f64::INFINITY, Vec::new()));
@@ -356,7 +333,7 @@ impl Experiment {
             solver_fallbacks: self.solver.degenerate_fallbacks(),
             portal: Arc::clone(&self.portal),
             store: Arc::clone(&self.store),
-            flow_stats,
+            flow_stats: self.flow_stats,
         }
     }
 

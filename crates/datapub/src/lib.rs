@@ -4,9 +4,8 @@
 //! Community Data Co-Op (ACDC) data portal." This crate substitutes both
 //! halves:
 //!
-//! * [`PublishFlow`] — an asynchronous three-step pipeline (Transfer →
-//!   Ingest → Index) on a background worker, one job per batch, with
-//!   `flush` as a delivery barrier;
+//! * [`publish`] — the three flow steps (Transfer → Ingest → Index) for
+//!   one batch, run on the caller's thread and counted into [`FlowStats`];
 //! * [`AcdcPortal`] — a searchable record index rendering the Figure-3
 //!   summary and run-detail views, with JSON-lines import/export;
 //! * [`BlobStore`] — content-addressed storage for raw plate images;
@@ -21,7 +20,7 @@ mod portal;
 mod record;
 mod store;
 
-pub use flow::{FlowJob, FlowStats, PublishFlow};
+pub use flow::{publish, FlowStats};
 pub use html::{base64, render_html, render_run_html, render_summary_html, url_encode};
 pub use portal::{field_matches, AcdcPortal};
 pub use record::{ExperimentRecord, SampleRecord};

@@ -18,7 +18,7 @@ pub enum ModuleState {
     /// Powered and ready for a command.
     #[default]
     Idle,
-    /// Executing a command (observable in the live executor).
+    /// Executing a command.
     Busy,
     /// A command failed; requires a reset before new commands.
     Error,

@@ -8,8 +8,6 @@
 //! * [`Engine`] — step dispatch with fault injection, automatic retries,
 //!   simulated human recovery, run logs and the command accounting behind
 //!   the paper's TWH / CCWH metrics;
-//! * [`LiveExecutor`] — the same workcell with every module on its own
-//!   server thread (architectural fidelity / demos);
 //! * [`RPL_WORKCELL_YAML`] — the default five-module RPL cell (Figure 1).
 //!
 //! Workflows are portable: the same document runs on any workcell providing
@@ -21,7 +19,6 @@
 
 mod engine;
 mod error;
-mod live;
 mod runlog;
 mod workcell;
 mod workflow;
@@ -30,7 +27,6 @@ pub use engine::{
     Clock, CommandResult, Counters, Engine, Reliability, RetryPolicy, RunOutput, SeqClock,
 };
 pub use error::WeiError;
-pub use live::LiveExecutor;
 pub use runlog::{StepRecord, WorkflowRunLog};
 pub use workcell::{workcell_diagram, ModuleConfig, Workcell, WorkcellConfig, RPL_WORKCELL_YAML};
 pub use workflow::{Payload, Workflow, WorkflowStep};

@@ -263,14 +263,6 @@ impl Workcell {
         self.instruments.get_mut(name)
     }
 
-    /// Deconstruct into configuration, world, timing and instruments (used
-    /// by the live executor to move instruments onto server threads).
-    pub fn into_parts(
-        self,
-    ) -> (WorkcellConfig, World, TimingModel, BTreeMap<String, Box<dyn Instrument>>) {
-        (self.config, self.world, self.timing, self.instruments)
-    }
-
     /// Split borrow used by the engine: one instrument plus the world.
     pub(crate) fn dispatch_parts(
         &mut self,
