@@ -1192,6 +1192,42 @@ mod tests {
     }
 
     #[test]
+    fn only_sample_events_project_onto_records_with_their_own_target() {
+        let config = AppConfig {
+            sample_budget: 5,
+            target_to: Some(sdl_color::Rgb8::new(220, 220, 220)),
+            ..AppConfig::default()
+        };
+        let ratios = vec![0.25, 0.5, 0.0, 1.0];
+        let volumes = sdl_color::Recipe::from_ratios(&ratios, &config.dyes).unwrap();
+        // The session clock's own conversion to seconds.
+        let secs = |us| sdl_desim::SimDuration::from_micros(us).as_secs_f64().to_bits();
+        for (sample, us) in [(1u32, 1u64), (3, 123_456_789), (5, u64::MAX / 3)] {
+            let e = CampaignEvent::SamplePublished {
+                index: 2,
+                attempt: 1,
+                run: 1,
+                sample,
+                well: "B7".into(),
+                ratios: ratios.clone(),
+                measured: [9, 8, 7],
+                score: 1.5,
+                best: 1.25,
+                elapsed_us: us,
+                batch_wall_us: us / 7,
+            };
+            let r = e.sample_record(&config).expect("a sample event projects");
+            assert_eq!(r.target, config.target_at(sample - 1).channels());
+            assert_eq!(r.volumes_ul, volumes.volumes_ul());
+            assert_eq!(r.elapsed_s.to_bits(), secs(us));
+            assert_eq!(r.batch_wall_s.map(f64::to_bits), Some(secs(us / 7)));
+        }
+        for e in sample_events() {
+            assert_eq!(e.sample_record(&config).is_some(), e.kind() == "sample_published");
+        }
+    }
+
+    #[test]
     fn log_appends_and_tails() {
         let log = EventLog::in_memory();
         for e in sample_events() {

@@ -8,11 +8,13 @@
 //! 1. **Recover** — [`EventLog::recover`] truncates the file to its
 //!    checksum-verified prefix and reopens it for appending.
 //! 2. **Replay** — every scenario with a terminal event is rebuilt
-//!    *through the solver*: the recorded samples feed a [`ReplayBackend`],
-//!    whose bit-exact proposal verification proves the log matches what
-//!    the solver would do again. Close telemetry that replay cannot see
-//!    (virtual duration, plate count, robot command totals) is patched
-//!    from the logged [`ScenarioSummary`].
+//!    *through the solver*: the recorded samples, projected by
+//!    [`CampaignEvent::sample_record`] as a live session publishes them,
+//!    feed a [`ReplayBackend`], whose bit-exact proposal verification
+//!    proves the log matches what the solver would do again. Close
+//!    telemetry that replay cannot see (virtual duration, plate count,
+//!    robot command totals) is patched from the logged
+//!    [`ScenarioSummary`].
 //! 3. **Re-drive** — scenarios without a terminal event run live through
 //!    the runner's own pool loop, appending to the same log as the attempt
 //!    after the last one that started.
@@ -48,7 +50,7 @@ pub struct ResumeStats {
 struct Mined {
     /// Terminal outcome, first one wins: finished summary or failure text.
     terminal: Option<Result<(u32, ScenarioSummary), String>>,
-    /// `sample_published` events per attempt, in log order.
+    /// Records of the `sample_published` events per attempt, in log order.
     samples: BTreeMap<u32, Vec<SampleRecord>>,
     /// Highest attempt number that ever started.
     last_attempt: Option<u32>,
