@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use sdl_desim::{RngHub, SimDuration, SimTime};
 use sdl_instruments::{ActionData, Microplate, ModuleKind, WellIndex};
 use sdl_vision::{Detector, DetectorScratch};
-use sdl_wei::{Clock, Engine, Payload, SeqClock, Workcell, WorkcellConfig, Workflow};
+use sdl_wei::{Engine, Payload, SeqClock, Workcell, WorkcellConfig, Workflow};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

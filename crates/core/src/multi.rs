@@ -5,24 +5,27 @@
 //! experimental results."
 //!
 //! Each OT-2 gets its own closed-loop *flow process* on the `sdl-desim`
-//! executive: flows own a plate on their handler's deck and contend for the
-//! shared `pf400`, `sciclops` and camera nest exactly as physical plates
-//! would on the rail. The solver and sample budget are shared, so N samples
-//! are split dynamically between handlers.
+//! executive: an `async` block that awaits the executive's `hold` and
+//! `acquire`, polled with the other flows on the caller's thread. Flows own
+//! a plate on their handler's deck and contend for the shared `pf400`,
+//! `sciclops` and camera nest exactly as physical plates would on the rail.
+//! The engine, solver and sample budget are shared through one
+//! `Rc<RefCell<_>>`, borrowed only between awaits, so N samples are split
+//! dynamically between handlers.
 
 use crate::app::AppError;
 use crate::config::AppConfig;
 use crate::protocol::build_protocol;
-use parking_lot::Mutex;
 use sdl_color::Rgb8;
 use sdl_desim::{RngHub, SimDuration, SimTime, Simulation};
 use sdl_instruments::{ActionArgs, ActionData, WellIndex};
 use sdl_solvers::{ColorSolver, Observation};
 use sdl_vision::{Detector, DetectorScratch};
 use sdl_wei::{Engine, Workcell, WorkcellConfig};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Outcome of a multi-OT2 run.
 #[derive(Debug, Clone)]
@@ -92,7 +95,7 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
     let cell = Workcell::instantiate(cell_cfg, base.dyes.clone(), base.mix)?;
     let engine = Engine::new(cell, hub).with_faults(base.faults.clone());
 
-    let shared = Arc::new(Mutex::new(Shared {
+    let shared = Rc::new(RefCell::new(Shared {
         engine,
         solver: base.build_solver(base.dyes.len()).map_err(|e| AppError::Setup(e.to_string()))?,
         solver_rng: hub.stream("app.solver"),
@@ -104,16 +107,16 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
         error: None,
     }));
 
-    let mut sim = Simulation::new(hub).without_trace();
+    let mut sim = Simulation::default();
     // One desim resource per contended module; the camera resource guards
     // the whole image turnaround (nest occupancy included).
     let mut res = BTreeMap::new();
     for name in ["sciclops", "pf400", "camera"] {
-        res.insert(name.to_string(), sim.resource(name, 1));
+        res.insert(name.to_string(), sim.resource(1));
     }
     for i in 1..=n_ot2 {
-        res.insert(format!("ot2_{i}"), sim.resource(format!("ot2_{i}"), 1));
-        res.insert(format!("barty_{i}"), sim.resource(format!("barty_{i}"), 1));
+        res.insert(format!("ot2_{i}"), sim.resource(1));
+        res.insert(format!("barty_{i}"), sim.resource(1));
     }
 
     let batch = base.batch;
@@ -122,11 +125,11 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
     let compute_s = base.compute_seconds;
 
     for flow in 1..=n_ot2 {
-        let shared = Arc::clone(&shared);
+        let shared = Rc::clone(&shared);
         let res = res.clone();
         let dyes = dyes.clone();
         let cfg = base.clone();
-        sim.process(format!("flow-{flow}"), move |ctx| {
+        sim.process(format!("flow-{flow}"), move |mut ctx| async move {
             let ot2 = format!("ot2_{flow}");
             let barty = format!("barty_{flow}");
             let deck = format!("{ot2}.deck");
@@ -138,16 +141,17 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
             macro_rules! command {
                 ($module:expr, $action:expr, $args:expr) => {{
                     let r = res[$module];
-                    ctx.acquire(r);
-                    let result = shared.lock().engine.dispatch(ctx.now(), $module, $action, &$args);
+                    ctx.acquire(r).await;
+                    let result =
+                        shared.borrow_mut().engine.dispatch(ctx.now(), $module, $action, &$args);
                     match result {
                         Ok(cmd) => {
-                            ctx.hold(cmd.busy);
+                            ctx.hold(cmd.busy).await;
                             ctx.release(r);
                             Some(cmd.data)
                         }
                         Err(e) => {
-                            shared.lock().error.get_or_insert(e.to_string());
+                            shared.borrow_mut().error.get_or_insert(e.to_string());
                             ctx.release(r);
                             None
                         }
@@ -159,7 +163,7 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
             'outer: loop {
                 // Reserve a batch from the shared budget.
                 let b = {
-                    let mut s = shared.lock();
+                    let mut s = shared.borrow_mut();
                     if s.error.is_some() || s.remaining == 0 {
                         break 'outer;
                     }
@@ -173,7 +177,7 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
                 let mut wells: Vec<WellIndex> = Vec::new();
                 for _ in 0..2 {
                     if have_plate {
-                        let s = shared.lock();
+                        let s = shared.borrow();
                         if let Ok(Some(id)) = s.engine.workcell.world.plate_at(&deck) {
                             if let Ok(plate) = s.engine.workcell.world.plate(id) {
                                 wells = plate.next_free(b);
@@ -194,9 +198,9 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
                     // sciclops held across the exchange hand-off so flows
                     // cannot collide on the exchange nest.
                     let crane = res["sciclops"];
-                    ctx.acquire(crane);
+                    ctx.acquire(crane).await;
                     let got = {
-                        let result = shared.lock().engine.dispatch(
+                        let result = shared.borrow_mut().engine.dispatch(
                             ctx.now(),
                             "sciclops",
                             "get_plate",
@@ -204,11 +208,11 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
                         );
                         match result {
                             Ok(cmd) => {
-                                ctx.hold(cmd.busy);
+                                ctx.hold(cmd.busy).await;
                                 true
                             }
                             Err(e) => {
-                                shared.lock().error.get_or_insert(e.to_string());
+                                shared.borrow_mut().error.get_or_insert(e.to_string());
                                 false
                             }
                         }
@@ -225,7 +229,7 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
                     if !moved {
                         break 'outer;
                     }
-                    shared.lock().plates_used += 1;
+                    shared.borrow_mut().plates_used += 1;
                     have_plate = true;
                     // Prime this handler's reservoirs.
                     if command!(&barty, "fill_colors", ActionArgs::none()).is_none() {
@@ -233,7 +237,7 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
                     }
                 }
                 if wells.len() < b {
-                    let s = shared.lock();
+                    let s = shared.borrow();
                     if let Ok(Some(id)) = s.engine.workcell.world.plate_at(&deck) {
                         if let Ok(plate) = s.engine.workcell.world.plate(id) {
                             wells = plate.next_free(b);
@@ -241,14 +245,14 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
                     }
                 }
                 if wells.len() < b {
-                    shared.lock().error.get_or_insert("plate allocation failed".into());
+                    shared.borrow_mut().error.get_or_insert("plate allocation failed".into());
                     break 'outer;
                 }
                 let wells = &wells[..b];
 
                 // Propose from the shared history.
                 let (ratios, protocol) = {
-                    let mut s = shared.lock();
+                    let mut s = shared.borrow_mut();
                     let Shared { solver, history, solver_rng, samples_done, .. } = &mut *s;
                     // The shared counter orders concurrent flows, so a
                     // moving target advances identically run to run.
@@ -266,7 +270,7 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
 
                 // Replenish this handler's bank when low.
                 let needs_refill = {
-                    let s = shared.lock();
+                    let s = shared.borrow();
                     match s.engine.workcell.world.bank(&ot2) {
                         Ok(bank) => {
                             bank.reservoirs.iter().any(|r| r.volume_ul < watermark)
@@ -293,7 +297,7 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
 
                 // Image turnaround: hold the camera for the full nest visit.
                 let cam = res["camera"];
-                ctx.acquire(cam);
+                ctx.acquire(cam).await;
                 let to_nest =
                     ActionArgs::none().with("source", deck.clone()).with("target", "camera.nest");
                 if command!("pf400", "transfer", to_nest).is_none() {
@@ -302,7 +306,7 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
                 }
                 // The camera resource is already held for the whole nest
                 // visit; dispatch the capture directly.
-                let capture = shared.lock().engine.dispatch(
+                let capture = shared.borrow_mut().engine.dispatch(
                     ctx.now(),
                     "camera",
                     "take_picture",
@@ -310,12 +314,12 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
                 );
                 let image = match capture {
                     Ok(cmd) => {
-                        ctx.hold(cmd.busy);
+                        ctx.hold(cmd.busy).await;
                         match cmd.data {
                             ActionData::Image(img) => img,
                             _ => {
                                 shared
-                                    .lock()
+                                    .borrow_mut()
                                     .error
                                     .get_or_insert("camera returned no image".into());
                                 ctx.release(cam);
@@ -324,7 +328,7 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
                         }
                     }
                     Err(e) => {
-                        shared.lock().error.get_or_insert(e.to_string());
+                        shared.borrow_mut().error.get_or_insert(e.to_string());
                         ctx.release(cam);
                         break 'outer;
                     }
@@ -338,15 +342,15 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
                 ctx.release(cam);
 
                 // Compute: detection + grading.
-                ctx.hold(SimDuration::from_secs_f64(compute_s));
+                ctx.hold(SimDuration::from_secs_f64(compute_s)).await;
                 let reading = match detector.detect_with(&image, &mut scratch) {
                     Ok(r) => r,
                     Err(e) => {
-                        shared.lock().error.get_or_insert(e.to_string());
+                        shared.borrow_mut().error.get_or_insert(e.to_string());
                         break 'outer;
                     }
                 };
-                let mut s = shared.lock();
+                let mut s = shared.borrow_mut();
                 for (ratio, well) in ratios.iter().zip(wells) {
                     let measured: Rgb8 =
                         reading.well(well.row, well.col).map(|w| w.color).unwrap_or_default();
@@ -359,16 +363,16 @@ pub fn run_multi_ot2(base: &AppConfig, n_ot2: usize) -> Result<MultiOt2Outcome, 
         });
     }
 
-    let outcome = sim.run().map_err(|e| AppError::Setup(e.to_string()))?;
-    let shared = Arc::try_unwrap(shared)
-        .map_err(|_| AppError::Setup("flow still holds shared state".into()))
-        .map(Mutex::into_inner)?;
+    let end = sim.run().map_err(|e| AppError::Setup(e.to_string()))?;
+    let shared = Rc::try_unwrap(shared)
+        .map_err(|_| AppError::Setup("flow still holds shared state".into()))?
+        .into_inner();
     if let Some(err) = shared.error {
         return Err(AppError::Setup(err));
     }
     let best =
         sdl_solvers::best_observation(&shared.history).map(|o| o.score).unwrap_or(f64::INFINITY);
-    let duration = outcome.end - SimTime::ZERO;
+    let duration = end - SimTime::ZERO;
     let solver_fallbacks = shared.solver.degenerate_fallbacks();
     Ok(MultiOt2Outcome {
         n_ot2,

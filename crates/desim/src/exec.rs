@@ -1,141 +1,149 @@
 //! Deterministic process executive.
 //!
-//! Simulation *processes* are ordinary imperative closures that run on their
-//! own OS threads but never execute concurrently: a central coordinator wakes
-//! exactly one process at a time and advances the virtual clock between
-//! wakes. Processes block on [`ProcCtx::hold`] (let simulated time pass) and
-//! [`ProcCtx::acquire`] (wait for a shared resource such as a robot arm), so
+//! Simulation *processes* are futures: `async` blocks that await
+//! [`ProcCtx::hold`] (let simulated time pass) and [`ProcCtx::acquire`]
+//! (wait for a shared resource such as a robot arm). [`Simulation::run`]
+//! polls them one at a time on the caller's thread, each when its wake pops
+//! from an [`EventQueue`], and advances the virtual clock between wakes. So
 //! workcell workflows read as straight-line code while the kernel still
 //! models real concurrency — two workflows contending for the `pf400` arm
-//! queue exactly as they would on the physical rail.
+//! queue exactly as they would on the physical rail — and a run starts no
+//! thread.
 //!
-//! Determinism: wake events are ordered by `(time, sequence)`, resource
-//! queues are FIFO, and only one process runs at any real instant, so a run
-//! is a pure function of the master seed and the scheduled work.
+//! Determinism: wakes are ordered by `(time, sequence)`, resource queues
+//! are FIFO, and one process runs at a time, so a run is a pure function of
+//! the scheduled work.
+//!
+//! A process may await only its own context's `hold` and `acquire`. The run
+//! loop polls with a no-op waker, so a future waiting on anything else is
+//! never polled again, and the run ends in [`SimError::Deadlock`].
 
 use crate::queue::EventQueue;
-use crate::rng::RngHub;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Trace, TraceEvent, TraceKind};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::JoinHandle;
-
-/// Identifier of a spawned process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ProcId(usize);
+use std::future::{poll_fn, Future};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 /// Handle to a declared resource (capacity-limited, FIFO-granted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ResourceId(usize);
 
-type ProcFn = Box<dyn FnOnce(&mut ProcCtx) + Send + 'static>;
-
-enum Request {
-    /// Blocking: sleep for a duration of virtual time.
-    Hold { proc: ProcId, dur: SimDuration },
-    /// Blocking: wait for one unit of the resource.
-    Acquire { proc: ProcId, res: ResourceId },
-    /// Non-blocking: return one unit of the resource.
-    Release { proc: ProcId, res: ResourceId },
-    /// Non-blocking: start a new process at the current instant.
-    Spawn { name: String, f: ProcFn },
-    /// Non-blocking: record a user trace event.
-    Trace { proc: ProcId, kind: TraceKind, detail: String },
-    /// Blocking (terminal): the process body returned or panicked.
-    Finished { proc: ProcId, panicked: bool },
+struct Resource {
+    capacity: usize,
+    in_use: usize,
+    /// Waiting processes, by index, in request order.
+    waiters: VecDeque<usize>,
 }
 
-/// Per-process context handed to each process closure.
-pub struct ProcCtx {
-    id: ProcId,
-    name: String,
+/// The scheduler state the run loop shares with every process context.
+#[derive(Default)]
+struct Kernel {
     now: SimTime,
-    tx: Sender<Request>,
-    wake_rx: Receiver<SimTime>,
-    hub: RngHub,
+    wakes: EventQueue<usize>,
+    resources: Vec<Resource>,
+    /// The units each process holds, by process index.
+    held: Vec<Vec<ResourceId>>,
+}
+
+impl Kernel {
+    /// Pop the next wake and move the clock to it.
+    fn next_wake(&mut self) -> Option<usize> {
+        let (at, proc) = self.wakes.pop()?;
+        self.now = at;
+        Some(proc)
+    }
+
+    fn hold(&mut self, proc: usize, dur: SimDuration) {
+        self.wakes.push(self.now + dur, proc);
+    }
+
+    fn acquire(&mut self, proc: usize, res: ResourceId) {
+        let state = &mut self.resources[res.0];
+        if state.in_use < state.capacity {
+            self.grant(proc, res);
+        } else {
+            state.waiters.push_back(proc);
+        }
+    }
+
+    /// Give `proc` one unit of `res`. It resumes at the current instant,
+    /// after the wakes already queued for that instant.
+    fn grant(&mut self, proc: usize, res: ResourceId) {
+        self.resources[res.0].in_use += 1;
+        self.held[proc].push(res);
+        self.wakes.push(self.now, proc);
+    }
+
+    fn release(&mut self, proc: usize, res: ResourceId) {
+        let held = &mut self.held[proc];
+        if let Some(pos) = held.iter().position(|r| *r == res) {
+            held.swap_remove(pos);
+        }
+        let state = &mut self.resources[res.0];
+        state.in_use = state.in_use.saturating_sub(1);
+        if let Some(waiter) = state.waiters.pop_front() {
+            self.grant(waiter, res);
+        }
+    }
+
+    /// Return the units a finished process still holds, in the order it
+    /// holds them.
+    fn finish(&mut self, proc: usize) {
+        for res in std::mem::take(&mut self.held[proc]) {
+            self.release(proc, res);
+        }
+    }
+}
+
+/// Yield to the run loop once: the process is polled again at the wake it
+/// queued before yielding.
+fn suspend() -> impl Future<Output = ()> {
+    let mut yielded = false;
+    poll_fn(move |_| {
+        if yielded {
+            return Poll::Ready(());
+        }
+        yielded = true;
+        Poll::Pending
+    })
+}
+
+/// A process's handle on the simulation: the virtual clock and the
+/// resources.
+pub struct ProcCtx {
+    id: usize,
+    kernel: Rc<RefCell<Kernel>>,
 }
 
 impl ProcCtx {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// This process's name (for logs and traces).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The simulation's RNG hub; derive named streams from it.
-    pub fn hub(&self) -> RngHub {
-        self.hub
+        self.kernel.borrow().now
     }
 
     /// Let `dur` of virtual time pass.
-    pub fn hold(&mut self, dur: SimDuration) {
-        self.tx.send(Request::Hold { proc: self.id, dur }).expect("coordinator alive");
-        self.now = self.wake_rx.recv().expect("coordinator alive");
+    pub async fn hold(&mut self, dur: SimDuration) {
+        self.kernel.borrow_mut().hold(self.id, dur);
+        suspend().await
     }
 
     /// Wait until one unit of `res` is available and take it. Units are
     /// granted in request order. Pair with [`ProcCtx::release`]; units still
     /// held when the process ends are returned automatically.
-    pub fn acquire(&mut self, res: ResourceId) {
-        self.tx.send(Request::Acquire { proc: self.id, res }).expect("coordinator alive");
-        self.now = self.wake_rx.recv().expect("coordinator alive");
+    pub async fn acquire(&mut self, res: ResourceId) {
+        self.kernel.borrow_mut().acquire(self.id, res);
+        suspend().await
     }
 
     /// Return one unit of `res`.
     pub fn release(&mut self, res: ResourceId) {
-        self.tx.send(Request::Release { proc: self.id, res }).expect("coordinator alive");
+        self.kernel.borrow_mut().release(self.id, res);
     }
-
-    /// Run `body` while holding `res`.
-    pub fn with_resource<R>(&mut self, res: ResourceId, body: impl FnOnce(&mut ProcCtx) -> R) -> R {
-        self.acquire(res);
-        let out = body(self);
-        self.release(res);
-        out
-    }
-
-    /// Start a sibling process at the current virtual instant.
-    pub fn spawn(
-        &mut self,
-        name: impl Into<String>,
-        f: impl FnOnce(&mut ProcCtx) + Send + 'static,
-    ) {
-        self.tx
-            .send(Request::Spawn { name: name.into(), f: Box::new(f) })
-            .expect("coordinator alive");
-    }
-
-    /// Record a user-level trace event at the current instant.
-    pub fn trace(&mut self, kind: impl Into<String>, detail: impl Into<String>) {
-        self.tx
-            .send(Request::Trace {
-                proc: self.id,
-                kind: TraceKind::User(kind.into()),
-                detail: detail.into(),
-            })
-            .expect("coordinator alive");
-    }
-}
-
-struct ResourceState {
-    name: String,
-    capacity: usize,
-    in_use: usize,
-    waiters: VecDeque<ProcId>,
-}
-
-struct ProcSlot {
-    name: String,
-    wake_tx: Sender<SimTime>,
-    join: Option<JoinHandle<()>>,
-    alive: bool,
-    held: Vec<ResourceId>,
 }
 
 /// Errors surfaced by [`Simulation::run`].
@@ -146,7 +154,7 @@ pub enum SimError {
         /// Names of the blocked processes.
         blocked: Vec<String>,
     },
-    /// A process body panicked; the panic message is in the thread output.
+    /// A process body panicked; the panic hook printed its message.
     ProcessPanicked {
         /// Name of the panicked process.
         name: String,
@@ -166,311 +174,120 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Outcome of a completed simulation.
-#[derive(Debug)]
-pub struct SimOutcome {
-    /// Instant at which the last process finished.
-    pub end: SimTime,
-    /// Chronological trace of scheduler and user events.
-    pub trace: Trace,
-}
+type Body = Pin<Box<dyn Future<Output = ()>>>;
 
-/// A configured simulation: declare resources and root processes, then
+/// A configured simulation: declare resources and processes, then
 /// [`Simulation::run`].
+#[derive(Default)]
 pub struct Simulation {
-    hub: RngHub,
-    resources: Vec<(String, usize)>,
-    roots: Vec<(String, ProcFn)>,
-    trace_enabled: bool,
+    kernel: Rc<RefCell<Kernel>>,
+    names: Vec<String>,
+    bodies: Vec<Option<Body>>,
 }
 
 impl Simulation {
-    /// An empty simulation drawing randomness from `hub`.
-    pub fn new(hub: RngHub) -> Self {
-        Simulation { hub, resources: Vec::new(), roots: Vec::new(), trace_enabled: true }
-    }
-
-    /// Disable trace collection (saves memory on very long runs).
-    pub fn without_trace(mut self) -> Self {
-        self.trace_enabled = false;
-        self
-    }
-
     /// Declare a resource with `capacity` concurrent units.
-    pub fn resource(&mut self, name: impl Into<String>, capacity: usize) -> ResourceId {
+    pub fn resource(&mut self, capacity: usize) -> ResourceId {
         assert!(capacity > 0, "resource capacity must be positive");
-        let id = ResourceId(self.resources.len());
-        self.resources.push((name.into(), capacity));
-        id
+        let resources = &mut self.kernel.borrow_mut().resources;
+        resources.push(Resource { capacity, in_use: 0, waiters: VecDeque::new() });
+        ResourceId(resources.len() - 1)
     }
 
-    /// Declare a root process started at t = 0.
-    pub fn process(
+    /// Declare a process started at t = 0: `body` receives the process's
+    /// context and returns the future the run polls, typically
+    /// `move |mut ctx| async move { … }`.
+    pub fn process<F: Future<Output = ()> + 'static>(
         &mut self,
         name: impl Into<String>,
-        f: impl FnOnce(&mut ProcCtx) + Send + 'static,
+        body: impl FnOnce(ProcCtx) -> F,
     ) {
-        self.roots.push((name.into(), Box::new(f)));
-    }
-
-    /// Run to completion.
-    pub fn run(self) -> Result<SimOutcome, SimError> {
-        Coordinator::new(self).run()
-    }
-}
-
-struct Coordinator {
-    hub: RngHub,
-    req_tx: Sender<Request>,
-    req_rx: Receiver<Request>,
-    procs: Vec<ProcSlot>,
-    resources: Vec<ResourceState>,
-    wakes: EventQueue<ProcId>,
-    now: SimTime,
-    alive: usize,
-    trace: Trace,
-    trace_enabled: bool,
-    panicked: Option<String>,
-}
-
-impl Coordinator {
-    fn new(sim: Simulation) -> Self {
-        let (req_tx, req_rx) = channel();
-        let mut coord = Coordinator {
-            hub: sim.hub,
-            req_tx,
-            req_rx,
-            procs: Vec::new(),
-            resources: sim
-                .resources
-                .into_iter()
-                .map(|(name, capacity)| ResourceState {
-                    name,
-                    capacity,
-                    in_use: 0,
-                    waiters: VecDeque::new(),
-                })
-                .collect(),
-            wakes: EventQueue::new(),
-            now: SimTime::ZERO,
-            alive: 0,
-            trace: Trace::new(),
-            trace_enabled: sim.trace_enabled,
-            panicked: None,
-        };
-        for (name, f) in sim.roots {
-            coord.spawn_process(name, f);
+        let id = self.bodies.len();
+        {
+            let mut kernel = self.kernel.borrow_mut();
+            kernel.held.push(Vec::new());
+            kernel.wakes.push(SimTime::ZERO, id);
         }
-        coord
+        let ctx = ProcCtx { id, kernel: Rc::clone(&self.kernel) };
+        self.names.push(name.into());
+        self.bodies.push(Some(Box::pin(body(ctx))));
     }
 
-    fn spawn_process(&mut self, name: String, f: ProcFn) {
-        let id = ProcId(self.procs.len());
-        let (wake_tx, wake_rx) = channel();
-        let mut ctx = ProcCtx {
-            id,
-            name: name.clone(),
-            now: self.now,
-            tx: self.req_tx.clone(),
-            wake_rx,
-            hub: self.hub,
-        };
-        let thread_name = name.clone();
-        let join = std::thread::Builder::new()
-            .name(thread_name)
-            .spawn(move || {
-                // Guard notifies the coordinator even if `f` unwinds.
-                struct FinishGuard {
-                    tx: Sender<Request>,
-                    id: ProcId,
-                    clean: bool,
-                }
-                impl Drop for FinishGuard {
-                    fn drop(&mut self) {
-                        let _ = self
-                            .tx
-                            .send(Request::Finished { proc: self.id, panicked: !self.clean });
-                    }
-                }
-                let mut guard = FinishGuard { tx: ctx.tx.clone(), id: ctx.id, clean: false };
-                // First wake delivers the start time.
-                ctx.now = match ctx.wake_rx.recv() {
-                    Ok(t) => t,
-                    Err(_) => return, // coordinator dropped before start
-                };
-                f(&mut ctx);
-                guard.clean = true;
-            })
-            .expect("spawn simulation process thread");
-        self.procs.push(ProcSlot {
-            name,
-            wake_tx,
-            join: Some(join),
-            alive: true,
-            held: Vec::new(),
-        });
-        self.alive += 1;
-        self.wakes.push(self.now, id);
-        self.record(id, TraceKind::ProcStart, String::new());
-    }
-
-    fn record(&mut self, proc: ProcId, kind: TraceKind, detail: String) {
-        if self.trace_enabled {
-            self.trace.push(TraceEvent {
-                at: self.now,
-                process: self.procs[proc.0].name.clone(),
-                kind,
-                detail,
-            });
-        }
-    }
-
-    fn grant(&mut self, proc: ProcId, res: ResourceId) {
-        self.resources[res.0].in_use += 1;
-        self.procs[proc.0].held.push(res);
-        let name = self.resources[res.0].name.clone();
-        self.record(proc, TraceKind::Grant, name);
-        // Resume at the current instant, after already-queued same-time wakes.
-        self.wakes.push(self.now, proc);
-    }
-
-    fn do_release(&mut self, proc: ProcId, res: ResourceId) {
-        let slot = &mut self.procs[proc.0];
-        if let Some(pos) = slot.held.iter().position(|r| *r == res) {
-            slot.held.swap_remove(pos);
-        }
-        let name = self.resources[res.0].name.clone();
-        self.record(proc, TraceKind::Release, name);
-        let state = &mut self.resources[res.0];
-        state.in_use = state.in_use.saturating_sub(1);
-        if let Some(waiter) = self.resources[res.0].waiters.pop_front() {
-            self.grant(waiter, res);
-        }
-    }
-
-    /// Handle requests from the currently-running process until it blocks.
-    fn drain_until_blocked(&mut self) {
+    /// Run to completion and return the instant of the last wake. Every
+    /// process has been dropped by the time this returns, on success or
+    /// error.
+    pub fn run(mut self) -> Result<SimTime, SimError> {
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut alive = self.bodies.len();
         loop {
-            let req = self.req_rx.recv().expect("at least one process alive");
-            match req {
-                Request::Hold { proc, dur } => {
-                    self.record(proc, TraceKind::Hold, dur.to_string());
-                    self.wakes.push(self.now + dur, proc);
-                    return;
+            let next = self.kernel.borrow_mut().next_wake();
+            let Some(proc) = next else { break };
+            let Some(body) = self.bodies[proc].as_mut() else { continue };
+            match catch_unwind(AssertUnwindSafe(|| body.as_mut().poll(&mut cx))) {
+                Ok(Poll::Pending) => {}
+                Ok(Poll::Ready(())) => {
+                    self.bodies[proc] = None;
+                    alive -= 1;
+                    self.kernel.borrow_mut().finish(proc);
                 }
-                Request::Acquire { proc, res } => {
-                    let state = &self.resources[res.0];
-                    self.record(proc, TraceKind::Acquire, state.name.clone());
-                    if self.resources[res.0].in_use < self.resources[res.0].capacity {
-                        self.grant(proc, res);
-                    } else {
-                        self.resources[res.0].waiters.push_back(proc);
-                    }
-                    return;
-                }
-                Request::Release { proc, res } => {
-                    self.do_release(proc, res);
-                }
-                Request::Spawn { name, f } => {
-                    self.spawn_process(name, f);
-                }
-                Request::Trace { proc, kind, detail } => {
-                    self.record(proc, kind, detail);
-                }
-                Request::Finished { proc, panicked } => {
-                    self.record(proc, TraceKind::ProcEnd, String::new());
-                    if panicked {
-                        self.panicked = Some(self.procs[proc.0].name.clone());
-                    }
-                    // Return any units the process still holds.
-                    let held: Vec<ResourceId> = self.procs[proc.0].held.clone();
-                    for res in held {
-                        self.do_release(proc, res);
-                    }
-                    self.procs[proc.0].alive = false;
-                    self.alive -= 1;
-                    if let Some(join) = self.procs[proc.0].join.take() {
-                        let _ = join.join();
-                    }
-                    return;
-                }
+                Err(_) => return Err(SimError::ProcessPanicked { name: self.names[proc].clone() }),
             }
         }
-    }
-
-    fn run(mut self) -> Result<SimOutcome, SimError> {
-        while let Some((at, proc)) = self.wakes.pop() {
-            self.now = at;
-            if !self.procs[proc.0].alive {
-                continue;
-            }
-            if self.procs[proc.0].wake_tx.send(self.now).is_err() {
-                // Thread already gone; its Finished request is still queued.
-            }
-            self.drain_until_blocked();
-            if let Some(name) = self.panicked.take() {
-                return Err(SimError::ProcessPanicked { name });
-            }
-        }
-        if self.alive > 0 {
-            let blocked: Vec<String> = self
+        if alive > 0 {
+            let blocked = self
+                .kernel
+                .borrow()
                 .resources
                 .iter()
-                .flat_map(|r| r.waiters.iter().map(|p| self.procs[p.0].name.clone()))
+                .flat_map(|r| r.waiters.iter().map(|&p| self.names[p].clone()))
                 .collect();
             return Err(SimError::Deadlock { blocked });
         }
-        Ok(SimOutcome { end: self.now, trace: self.trace })
+        let end = self.kernel.borrow().now;
+        Ok(end)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
-
-    fn hub() -> RngHub {
-        RngHub::new(7)
-    }
+    use crate::rng::RngHub;
+    use std::cell::Cell;
 
     #[test]
     fn single_process_advances_clock() {
-        let mut sim = Simulation::new(hub());
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut sim = Simulation::default();
+        let log = Rc::new(RefCell::new(Vec::new()));
         let l = log.clone();
-        sim.process("p", move |ctx| {
-            ctx.hold(SimDuration::from_secs(10));
-            l.lock().unwrap().push(ctx.now());
-            ctx.hold(SimDuration::from_secs(5));
-            l.lock().unwrap().push(ctx.now());
+        sim.process("p", move |mut ctx| async move {
+            ctx.hold(SimDuration::from_secs(10)).await;
+            l.borrow_mut().push(ctx.now());
+            ctx.hold(SimDuration::from_secs(5)).await;
+            l.borrow_mut().push(ctx.now());
         });
-        let out = sim.run().unwrap();
-        assert_eq!(out.end, SimTime::from_secs(15));
-        let log = log.lock().unwrap();
-        assert_eq!(*log, vec![SimTime::from_secs(10), SimTime::from_secs(15)]);
+        assert_eq!(sim.run(), Ok(SimTime::from_secs(15)));
+        assert_eq!(*log.borrow(), vec![SimTime::from_secs(10), SimTime::from_secs(15)]);
     }
 
     #[test]
     fn resource_contention_serializes() {
-        let mut sim = Simulation::new(hub());
-        let arm = sim.resource("arm", 1);
-        let spans = Arc::new(Mutex::new(Vec::new()));
+        let mut sim = Simulation::default();
+        let arm = sim.resource(1);
+        let spans = Rc::new(RefCell::new(Vec::new()));
         for i in 0..3 {
             let spans = spans.clone();
-            sim.process(format!("flow-{i}"), move |ctx| {
-                ctx.acquire(arm);
+            sim.process(format!("flow-{i}"), move |mut ctx| async move {
+                ctx.acquire(arm).await;
                 let start = ctx.now();
-                ctx.hold(SimDuration::from_secs(10));
-                spans.lock().unwrap().push((start, ctx.now()));
+                ctx.hold(SimDuration::from_secs(10)).await;
+                spans.borrow_mut().push((start, ctx.now()));
                 ctx.release(arm);
             });
         }
-        let out = sim.run().unwrap();
-        assert_eq!(out.end, SimTime::from_secs(30));
-        let spans = spans.lock().unwrap();
+        assert_eq!(sim.run(), Ok(SimTime::from_secs(30)));
         // Non-overlapping, FIFO order.
         assert_eq!(
-            *spans,
+            *spans.borrow(),
             vec![
                 (SimTime::ZERO, SimTime::from_secs(10)),
                 (SimTime::from_secs(10), SimTime::from_secs(20)),
@@ -481,137 +298,109 @@ mod tests {
 
     #[test]
     fn capacity_two_allows_overlap() {
-        let mut sim = Simulation::new(hub());
-        let bay = sim.resource("bay", 2);
-        sim.process("a", move |ctx| ctx.with_resource(bay, |c| c.hold(SimDuration::from_secs(10))));
-        sim.process("b", move |ctx| ctx.with_resource(bay, |c| c.hold(SimDuration::from_secs(10))));
-        sim.process("c", move |ctx| ctx.with_resource(bay, |c| c.hold(SimDuration::from_secs(10))));
-        let out = sim.run().unwrap();
+        let mut sim = Simulation::default();
+        let bay = sim.resource(2);
+        for name in ["a", "b", "c"] {
+            sim.process(name, move |mut ctx| async move {
+                ctx.acquire(bay).await;
+                ctx.hold(SimDuration::from_secs(10)).await;
+                ctx.release(bay);
+            });
+        }
         // Two run together, the third queues: 10 + 10.
-        assert_eq!(out.end, SimTime::from_secs(20));
+        assert_eq!(sim.run(), Ok(SimTime::from_secs(20)));
     }
 
-    #[test]
-    fn spawned_children_run() {
-        let mut sim = Simulation::new(hub());
-        let total = Arc::new(Mutex::new(0u32));
-        let t = total.clone();
-        sim.process("parent", move |ctx| {
-            ctx.hold(SimDuration::from_secs(1));
-            for i in 0..4 {
-                let t = t.clone();
-                ctx.spawn(format!("child-{i}"), move |c| {
-                    c.hold(SimDuration::from_secs(2));
-                    *t.lock().unwrap() += 1;
-                });
-            }
-        });
-        let out = sim.run().unwrap();
-        assert_eq!(*total.lock().unwrap(), 4);
-        assert_eq!(out.end, SimTime::from_secs(3));
-    }
+    /// Counts its drops into a shared cell.
+    struct DropCount(Rc<Cell<usize>>);
 
-    #[test]
-    fn deadlock_is_reported() {
-        let mut sim = Simulation::new(hub());
-        let a = sim.resource("a", 1);
-        let b = sim.resource("b", 1);
-        sim.process("p1", move |ctx| {
-            ctx.acquire(a);
-            ctx.hold(SimDuration::from_secs(1));
-            ctx.acquire(b);
-            ctx.release(b);
-            ctx.release(a);
-        });
-        sim.process("p2", move |ctx| {
-            ctx.acquire(b);
-            ctx.hold(SimDuration::from_secs(1));
-            ctx.acquire(a);
-            ctx.release(a);
-            ctx.release(b);
-        });
-        match sim.run() {
-            Err(SimError::Deadlock { blocked }) => {
-                assert_eq!(blocked.len(), 2);
-            }
-            other => panic!("expected deadlock, got {other:?}"),
+    impl Drop for DropCount {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
         }
     }
 
     #[test]
-    fn panic_in_process_is_reported() {
-        let mut sim = Simulation::new(hub());
-        sim.process("bad", |ctx| {
-            ctx.hold(SimDuration::from_secs(1));
+    fn deadlock_is_reported_after_every_process_is_dropped() {
+        let mut sim = Simulation::default();
+        let a = sim.resource(1);
+        let b = sim.resource(1);
+        let dropped = Rc::new(Cell::new(0));
+        for (name, first, second) in [("p1", a, b), ("p2", b, a)] {
+            let guard = DropCount(dropped.clone());
+            sim.process(name, move |mut ctx| async move {
+                let _guard = guard;
+                ctx.acquire(first).await;
+                ctx.hold(SimDuration::from_secs(1)).await;
+                ctx.acquire(second).await;
+                ctx.release(second);
+                ctx.release(first);
+            });
+        }
+        assert_eq!(sim.run(), Err(SimError::Deadlock { blocked: vec!["p2".into(), "p1".into()] }));
+        assert_eq!(dropped.get(), 2);
+    }
+
+    #[test]
+    fn panic_is_reported_after_every_process_is_dropped() {
+        let mut sim = Simulation::default();
+        let arm = sim.resource(1);
+        let dropped = Rc::new(Cell::new(0));
+        let guard = DropCount(dropped.clone());
+        sim.process("bad", move |mut ctx| async move {
+            let _guard = guard;
+            ctx.acquire(arm).await;
+            ctx.hold(SimDuration::from_secs(1)).await;
             panic!("boom");
         });
-        match sim.run() {
-            Err(SimError::ProcessPanicked { name }) => assert_eq!(name, "bad"),
-            other => panic!("expected panic error, got {other:?}"),
-        }
+        let guard = DropCount(dropped.clone());
+        sim.process("waiter", move |mut ctx| async move {
+            let _guard = guard;
+            ctx.acquire(arm).await;
+        });
+        assert_eq!(sim.run(), Err(SimError::ProcessPanicked { name: "bad".into() }));
+        assert_eq!(dropped.get(), 2);
     }
 
     #[test]
     fn held_resources_released_on_finish() {
-        let mut sim = Simulation::new(hub());
-        let r = sim.resource("r", 1);
-        sim.process("holder", move |ctx| {
-            ctx.acquire(r);
-            ctx.hold(SimDuration::from_secs(5));
+        let mut sim = Simulation::default();
+        let r = sim.resource(1);
+        sim.process("holder", move |mut ctx| async move {
+            ctx.acquire(r).await;
+            ctx.hold(SimDuration::from_secs(5)).await;
             // Never releases explicitly.
         });
-        sim.process("waiter", move |ctx| {
-            ctx.hold(SimDuration::from_secs(1));
-            ctx.acquire(r);
+        sim.process("waiter", move |mut ctx| async move {
+            ctx.hold(SimDuration::from_secs(1)).await;
+            ctx.acquire(r).await;
             ctx.release(r);
         });
-        let out = sim.run().unwrap();
-        assert_eq!(out.end, SimTime::from_secs(5));
-    }
-
-    #[test]
-    fn trace_records_events_in_order() {
-        let mut sim = Simulation::new(hub());
-        sim.process("p", |ctx| {
-            ctx.trace("step", "one");
-            ctx.hold(SimDuration::from_secs(2));
-            ctx.trace("step", "two");
-        });
-        let out = sim.run().unwrap();
-        let user: Vec<_> = out
-            .trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::User(_)))
-            .map(|e| (e.at, e.detail.clone()))
-            .collect();
-        assert_eq!(
-            user,
-            vec![(SimTime::ZERO, "one".into()), (SimTime::from_secs(2), "two".into())]
-        );
+        assert_eq!(sim.run(), Ok(SimTime::from_secs(5)));
     }
 
     #[test]
     fn determinism_across_runs() {
         fn run_once() -> Vec<(SimTime, String)> {
-            let mut sim = Simulation::new(RngHub::new(11));
-            let arm = sim.resource("arm", 1);
-            let log = Arc::new(Mutex::new(Vec::new()));
+            let hub = RngHub::new(11);
+            let mut sim = Simulation::default();
+            let arm = sim.resource(1);
+            let log = Rc::new(RefCell::new(Vec::new()));
             for i in 0..5 {
                 let log = log.clone();
-                sim.process(format!("f{i}"), move |ctx| {
+                let name = format!("f{i}");
+                let mut rng = hub.substream("dur", i);
+                sim.process(name.clone(), move |mut ctx| async move {
                     use rand::Rng;
-                    let mut rng = ctx.hub().substream("dur", i);
                     let d = SimDuration::from_millis(rng.gen_range(100..2_000));
-                    ctx.acquire(arm);
-                    ctx.hold(d);
-                    log.lock().unwrap().push((ctx.now(), ctx.name().to_string()));
+                    ctx.acquire(arm).await;
+                    ctx.hold(d).await;
+                    log.borrow_mut().push((ctx.now(), name));
                     ctx.release(arm);
                 });
             }
             sim.run().unwrap();
-            let v = log.lock().unwrap().clone();
-            v
+            log.take()
         }
         assert_eq!(run_once(), run_once());
     }

@@ -6,8 +6,9 @@
 //! * [`SimTime`] / [`SimDuration`] — integer-microsecond virtual time;
 //! * [`EventQueue`] — a time-ordered queue with FIFO tie-breaking;
 //! * [`Simulation`] / [`ProcCtx`] — a *process executive*: workflows are
-//!   imperative closures on coordinated threads that `hold` virtual time and
-//!   `acquire`/`release` shared resources (the robot arm, instrument decks);
+//!   `async` blocks, polled one at a time on the caller's thread, that
+//!   `hold` virtual time and `acquire`/`release` shared resources (the robot
+//!   arm, instrument decks);
 //! * [`RngHub`] — named deterministic RNG streams, so every stochastic
 //!   component is reproducible and independent of event interleaving;
 //! * [`FaultPlan`] — per-module command-fault injection for the CCWH
@@ -16,19 +17,19 @@
 //! # Example
 //!
 //! ```
-//! use sdl_desim::{RngHub, SimDuration, Simulation};
+//! use sdl_desim::{SimDuration, SimTime, Simulation};
 //!
-//! let mut sim = Simulation::new(RngHub::new(1));
-//! let arm = sim.resource("pf400", 1);
+//! let mut sim = Simulation::default();
+//! let pf400 = sim.resource(1);
 //! for i in 0..2 {
-//!     sim.process(format!("flow-{i}"), move |ctx| {
-//!         ctx.acquire(arm);
-//!         ctx.hold(SimDuration::from_secs(30));
-//!         ctx.release(arm);
+//!     sim.process(format!("flow-{i}"), move |mut ctx| async move {
+//!         ctx.acquire(pf400).await;
+//!         ctx.hold(SimDuration::from_secs(30)).await;
+//!         ctx.release(pf400);
 //!     });
 //! }
-//! let outcome = sim.run().unwrap();
-//! assert_eq!(outcome.end, sdl_desim::SimTime::from_secs(60));
+//! // The two flows take turns on the arm.
+//! assert_eq!(sim.run(), Ok(SimTime::from_secs(60)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,11 +40,9 @@ mod fault;
 mod queue;
 mod rng;
 mod time;
-mod trace;
 
-pub use exec::{ProcCtx, ProcId, ResourceId, SimError, SimOutcome, Simulation};
+pub use exec::{ProcCtx, ResourceId, SimError, Simulation};
 pub use fault::{FaultKind, FaultPlan, FaultRates};
 pub use queue::EventQueue;
 pub use rng::RngHub;
 pub use time::{SimDuration, SimTime, MICROS_PER_SEC};
-pub use trace::{Trace, TraceEvent, TraceKind};

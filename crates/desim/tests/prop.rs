@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use sdl_desim::{EventQueue, RngHub, SimDuration, SimTime, Simulation};
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::fmt::Write as _;
+use std::rc::Rc;
 
 proptest! {
     /// Popping the event queue always yields non-decreasing times, and
@@ -46,18 +48,17 @@ proptest! {
     /// the sum of their hold times, no matter the individual durations.
     #[test]
     fn serialized_holds_sum(durs in proptest::collection::vec(1u64..5_000u64, 1..12)) {
-        let mut sim = Simulation::new(RngHub::new(5)).without_trace();
-        let arm = sim.resource("arm", 1);
+        let mut sim = Simulation::default();
+        let arm = sim.resource(1);
         for (i, &ms) in durs.iter().enumerate() {
-            sim.process(format!("p{i}"), move |ctx| {
-                ctx.acquire(arm);
-                ctx.hold(SimDuration::from_millis(ms));
+            sim.process(format!("p{i}"), move |mut ctx| async move {
+                ctx.acquire(arm).await;
+                ctx.hold(SimDuration::from_millis(ms)).await;
                 ctx.release(arm);
             });
         }
-        let out = sim.run().unwrap();
         let total: u64 = durs.iter().sum();
-        prop_assert_eq!(out.end, SimTime::ZERO + SimDuration::from_millis(total));
+        prop_assert_eq!(sim.run(), Ok(SimTime::ZERO + SimDuration::from_millis(total)));
     }
 
     /// With capacity >= number of processes there is no queueing: the end
@@ -65,47 +66,49 @@ proptest! {
     #[test]
     fn parallel_holds_max(durs in proptest::collection::vec(1u64..5_000u64, 1..10)) {
         let n = durs.len();
-        let mut sim = Simulation::new(RngHub::new(5)).without_trace();
-        let bay = sim.resource("bay", n);
+        let mut sim = Simulation::default();
+        let bay = sim.resource(n);
         for (i, &ms) in durs.iter().enumerate() {
-            sim.process(format!("p{i}"), move |ctx| {
-                ctx.acquire(bay);
-                ctx.hold(SimDuration::from_millis(ms));
+            sim.process(format!("p{i}"), move |mut ctx| async move {
+                ctx.acquire(bay).await;
+                ctx.hold(SimDuration::from_millis(ms)).await;
                 ctx.release(bay);
             });
         }
-        let out = sim.run().unwrap();
         let max = *durs.iter().max().unwrap();
-        prop_assert_eq!(out.end, SimTime::ZERO + SimDuration::from_millis(max));
+        prop_assert_eq!(sim.run(), Ok(SimTime::ZERO + SimDuration::from_millis(max)));
     }
 }
 
-/// Same seed, same program → identical traces; guard against accidental
-/// nondeterminism from thread scheduling.
+/// Same seed, same program → the same interleaving: every process logs each
+/// step with its instant, and two runs write the same log.
 #[test]
-fn full_trace_determinism() {
+fn full_log_determinism() {
     fn run() -> String {
-        let mut sim = Simulation::new(RngHub::new(123));
-        let arm = sim.resource("arm", 1);
-        let deck = sim.resource("deck", 2);
-        let log = Arc::new(Mutex::new(String::new()));
+        let hub = RngHub::new(123);
+        let mut sim = Simulation::default();
+        let arm = sim.resource(1);
+        let deck = sim.resource(2);
+        let log = Rc::new(RefCell::new(String::new()));
         for i in 0..6u64 {
             let log = log.clone();
-            sim.process(format!("wf{i}"), move |ctx| {
+            let mut rng = hub.substream("d", i);
+            sim.process(format!("wf{i}"), move |mut ctx| async move {
                 use rand::Rng;
-                let mut rng = ctx.hub().substream("d", i);
-                ctx.acquire(arm);
-                ctx.hold(SimDuration::from_millis(rng.gen_range(10..500)));
+                ctx.acquire(arm).await;
+                let _ = writeln!(log.borrow_mut(), "wf{i} arm {}", ctx.now());
+                ctx.hold(SimDuration::from_millis(rng.gen_range(10..500))).await;
                 ctx.release(arm);
-                ctx.acquire(deck);
-                ctx.hold(SimDuration::from_millis(rng.gen_range(10..500)));
+                ctx.acquire(deck).await;
+                let _ = writeln!(log.borrow_mut(), "wf{i} deck {}", ctx.now());
+                ctx.hold(SimDuration::from_millis(rng.gen_range(10..500))).await;
                 ctx.release(deck);
-                log.lock().unwrap().push_str(&format!("{} {}\n", ctx.name(), ctx.now()));
+                let _ = writeln!(log.borrow_mut(), "wf{i} done {}", ctx.now());
             });
         }
-        let out = sim.run().unwrap();
-        let mut s = log.lock().unwrap().clone();
-        s.push_str(&out.trace.render());
+        let end = sim.run().unwrap();
+        let mut s = log.take();
+        let _ = writeln!(s, "end {end}");
         s
     }
     assert_eq!(run(), run());

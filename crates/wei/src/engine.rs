@@ -8,28 +8,23 @@
 //! dropped at reception or fail mid-action (per the [`FaultPlan`]), are
 //! retried automatically, and fall back to a simulated human operator when
 //! retries are exhausted.
+//!
+//! [`Engine::run_workflow`] runs a workflow step by step on a [`SeqClock`].
+//! The multi-OT2 flows call [`Engine::dispatch`] directly and wait out each
+//! command's `busy` time on the `sdl-desim` executive, where it can overlap
+//! with other flows.
 
 use crate::error::WeiError;
 use crate::runlog::{StepRecord, WorkflowRunLog};
 use crate::workcell::Workcell;
 use crate::workflow::{Payload, Workflow};
 use rand::rngs::StdRng;
-use sdl_desim::{FaultKind, FaultPlan, ProcCtx, RngHub, SimDuration, SimTime};
+use sdl_desim::{FaultKind, FaultPlan, RngHub, SimDuration, SimTime};
 use sdl_instruments::{ActionArgs, ActionData};
 use std::collections::BTreeMap;
 
-/// A source of virtual time the engine can wait on. Implemented by
-/// [`SeqClock`] for plain sequential runs and by [`ProcCtx`] for runs inside
-/// the `sdl-desim` process executive (where waiting can overlap with other
-/// workflows).
-pub trait Clock {
-    /// Current virtual time.
-    fn now(&self) -> SimTime;
-    /// Let time pass.
-    fn wait(&mut self, d: SimDuration);
-}
-
-/// A free-running sequential clock.
+/// A free-running sequential clock: the virtual time a workflow run
+/// advances step by step.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SeqClock(SimTime);
 
@@ -38,23 +33,15 @@ impl SeqClock {
     pub fn new() -> SeqClock {
         SeqClock(SimTime::ZERO)
     }
-}
 
-impl Clock for SeqClock {
-    fn now(&self) -> SimTime {
+    /// Current virtual time.
+    pub fn now(&self) -> SimTime {
         self.0
     }
-    fn wait(&mut self, d: SimDuration) {
-        self.0 += d;
-    }
-}
 
-impl Clock for ProcCtx {
-    fn now(&self) -> SimTime {
-        ProcCtx::now(self)
-    }
-    fn wait(&mut self, d: SimDuration) {
-        self.hold(d);
+    /// Let time pass.
+    pub fn wait(&mut self, d: SimDuration) {
+        self.0 += d;
     }
 }
 
@@ -230,8 +217,8 @@ impl Engine {
     }
 
     /// Dispatch one command with retries. Does not wait: the caller advances
-    /// its clock by `busy` afterwards (this keeps the engine lock short in
-    /// concurrent runs).
+    /// its clock by `busy` afterwards (so a multi-OT2 flow holds the shared
+    /// engine only for the dispatch, not for the busy time).
     pub fn dispatch(
         &mut self,
         now: SimTime,
@@ -348,7 +335,7 @@ impl Engine {
     /// Run a whole workflow on the given clock, appending to history.
     pub fn run_workflow(
         &mut self,
-        clock: &mut impl Clock,
+        clock: &mut SeqClock,
         wf: &Workflow,
         payload: &Payload,
     ) -> Result<RunOutput, WeiError> {
@@ -548,9 +535,9 @@ steps:
     #[test]
     fn seq_clock_accumulates() {
         let mut c = SeqClock::new();
-        assert_eq!(Clock::now(&c), SimTime::ZERO);
+        assert_eq!(c.now(), SimTime::ZERO);
         c.wait(SimDuration::from_secs(5));
         c.wait(SimDuration::from_secs(7));
-        assert_eq!(Clock::now(&c), SimTime::from_secs(12));
+        assert_eq!(c.now(), SimTime::from_secs(12));
     }
 }

@@ -23,9 +23,7 @@ mod runlog;
 mod workcell;
 mod workflow;
 
-pub use engine::{
-    Clock, CommandResult, Counters, Engine, Reliability, RetryPolicy, RunOutput, SeqClock,
-};
+pub use engine::{CommandResult, Counters, Engine, Reliability, RetryPolicy, RunOutput, SeqClock};
 pub use error::WeiError;
 pub use runlog::{StepRecord, WorkflowRunLog};
 pub use workcell::{workcell_diagram, ModuleConfig, Workcell, WorkcellConfig, RPL_WORKCELL_YAML};

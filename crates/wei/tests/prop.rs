@@ -4,9 +4,7 @@
 use proptest::prelude::*;
 use sdl_color::{DyeSet, MixKind};
 use sdl_desim::{FaultPlan, FaultRates, RngHub, SimTime};
-use sdl_wei::{
-    Clock, Engine, Payload, SeqClock, Workcell, WorkcellConfig, Workflow, RPL_WORKCELL_YAML,
-};
+use sdl_wei::{Engine, Payload, SeqClock, Workcell, WorkcellConfig, Workflow, RPL_WORKCELL_YAML};
 
 fn engine(seed: u64, plan: FaultPlan) -> Engine {
     let cfg = WorkcellConfig::from_yaml(RPL_WORKCELL_YAML).unwrap();
@@ -71,7 +69,7 @@ proptest! {
         // CCWH streak can never exceed total robotic completions.
         prop_assert!(e.reliability.commands_without_humans() <= e.counters.robotic_completed);
         // The clock only moves forward and matches history.
-        prop_assert_eq!(Clock::now(&clock), last_end);
+        prop_assert_eq!(clock.now(), last_end);
     }
 
     /// Fault-free runs have exactly one attempt per command and no humans.
