@@ -9,10 +9,9 @@
 //! response's JSON head ([`encode_result`]), never inside JSON.
 
 use crate::backend::{BackendCaps, BackendClose, Batch, BatchResult, WellMeasurement};
-use crate::config::ConfigError;
+use crate::config::{need_u32, parse_rgb_triple, ConfigError};
 use crate::metrics::SdlMetrics;
 use bytes::Bytes;
-use sdl_color::Rgb8;
 use sdl_conf::{from_json, to_json, Value, ValueExt};
 use sdl_desim::{SimDuration, SimTime};
 use sdl_instruments::WellIndex;
@@ -42,8 +41,8 @@ pub fn caps_to_value(caps: &BackendCaps) -> Value {
 /// Decode capabilities.
 pub fn caps_from_value(v: &Value) -> Result<BackendCaps, ConfigError> {
     Ok(BackendCaps {
-        plate_capacity: need_u64(v, "plate_capacity")? as u32,
-        dye_channels: need_u64(v, "dye_channels")? as u32,
+        plate_capacity: need_u32(v.get("plate_capacity"), "plate_capacity").map_err(bad)?,
+        dye_channels: need_u32(v.get("dye_channels"), "dye_channels").map_err(bad)?,
         provides_images: v.opt_bool("provides_images").unwrap_or(false),
         real_telemetry: v.opt_bool("real_telemetry").unwrap_or(false),
     })
@@ -67,7 +66,7 @@ pub fn batch_to_value(batch: &Batch) -> Value {
 
 /// Decode one batch.
 pub fn batch_from_value(v: &Value) -> Result<Batch, ConfigError> {
-    let run = need_u64(v, "run")? as u32;
+    let run = need_u32(v.get("run"), "run").map_err(bad)?;
     let rows =
         v.get("ratios").and_then(Value::as_seq).ok_or_else(|| bad("missing 'ratios' sequence"))?;
     let mut ratios = Vec::with_capacity(rows.len());
@@ -133,15 +132,8 @@ pub fn result_from_value(v: &Value) -> Result<BatchResult, ConfigError> {
             .opt_str("well")
             .and_then(WellIndex::parse)
             .ok_or_else(|| bad("measurement rows need a parsable 'well'"))?;
-        let rgb = row.get("rgb").and_then(Value::as_seq).ok_or_else(|| bad("missing 'rgb'"))?;
-        let ch: Vec<i64> = rgb.iter().filter_map(Value::as_i64).collect();
-        if ch.len() != 3 || ch.iter().any(|c| !(0..=255).contains(c)) {
-            return Err(bad("rgb must be three 0-255 integers"));
-        }
-        measurements.push(WellMeasurement {
-            well,
-            color: Rgb8::new(ch[0] as u8, ch[1] as u8, ch[2] as u8),
-        });
+        let rgb = row.get("rgb").ok_or_else(|| bad("missing 'rgb'"))?;
+        measurements.push(WellMeasurement { well, color: parse_rgb_triple(rgb, "rgb")? });
     }
     Ok(BatchResult {
         measurements,
@@ -278,7 +270,7 @@ pub fn close_from_value(v: &Value) -> Result<BackendClose, ConfigError> {
         transfer: dur("transfer_us")?,
         logistics: dur("logistics_us")?,
         total: dur("total_us")?,
-        colors_mixed: need_u64(m, "colors_mixed")? as u32,
+        colors_mixed: need_u32(m.get("colors_mixed"), "colors_mixed").map_err(bad)?,
         time_per_color: dur("time_per_color_us")?,
         robotic_commands: need_u64(m, "robotic_commands")?,
         total_commands: need_u64(m, "total_commands")?,
@@ -288,7 +280,7 @@ pub fn close_from_value(v: &Value) -> Result<BackendClose, ConfigError> {
         duration: SimDuration::from_micros(need_u64(v, "duration_us")?),
         metrics,
         counters,
-        plates_used: need_u64(v, "plates_used")? as u32,
+        plates_used: need_u32(v.get("plates_used"), "plates_used").map_err(bad)?,
     })
 }
 
@@ -296,6 +288,7 @@ pub fn close_from_value(v: &Value) -> Result<BackendClose, ConfigError> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use sdl_color::Rgb8;
     use sdl_wei::Reliability;
 
     #[test]
@@ -381,8 +374,7 @@ mod tests {
         assert!(decode_result(b"").is_err());
     }
 
-    #[test]
-    fn close_roundtrips_through_json() {
+    fn sample_close() -> BackendClose {
         let counters = Counters {
             attempts: 10,
             completed: 9,
@@ -399,18 +391,61 @@ mod tests {
             SimTime::from_micros(5_000_000),
             3,
         );
-        let close = BackendClose {
+        BackendClose {
             duration: SimDuration::from_micros(5_000_000),
-            metrics: metrics.clone(),
+            metrics,
             counters,
             plates_used: 2,
-        };
+        }
+    }
+
+    #[test]
+    fn close_roundtrips_through_json() {
+        let close = sample_close();
         let json = to_json(&close_to_value(&close));
         let back = close_from_value(&from_json(&json).unwrap()).unwrap();
         assert_eq!(back.duration, close.duration);
-        assert_eq!(back.counters, counters);
-        assert_eq!(back.metrics, metrics);
+        assert_eq!(back.counters, close.counters);
+        assert_eq!(back.metrics, close.metrics);
         assert_eq!(back.plates_used, 2);
+    }
+
+    #[test]
+    fn counts_outside_u32_are_refused_not_wrapped() {
+        let batch = |run: &str| from_json(&format!(r#"{{"run": {run}, "ratios": []}}"#)).unwrap();
+        assert_eq!(batch_from_value(&batch("4294967295")).unwrap().run, u32::MAX);
+        for run in ["4294967296", "4294967297", "-1", "1.5", "\"1\""] {
+            assert!(batch_from_value(&batch(run)).is_err(), "run {run}");
+        }
+
+        let caps = caps_to_value(&BackendCaps {
+            plate_capacity: 96,
+            dye_channels: 4,
+            provides_images: true,
+            real_telemetry: true,
+        });
+        for key in ["plate_capacity", "dye_channels"] {
+            let mut v = caps.clone();
+            v.set(key, 1i64 << 32);
+            assert!(caps_from_value(&v).is_err(), "{key}");
+        }
+
+        let close = close_to_value(&sample_close());
+        let mut v = close.clone();
+        v.set("plates_used", (1i64 << 32) + 2);
+        assert!(close_from_value(&v).is_err(), "plates_used");
+        let mut metrics = close.get("metrics").unwrap().clone();
+        metrics.set("colors_mixed", (1i64 << 32) + 3);
+        let mut v = close;
+        v.set("metrics", metrics);
+        assert!(close_from_value(&v).is_err(), "colors_mixed");
+
+        // An rgb entry must be exactly three 0-255 integers.
+        for rgb in ["[1, 2, 3, \"x\"]", "[1, 2, 256]", "[-1, 2, 3]", "[1, 2]"] {
+            let head =
+                format!(r#"{{"measurements":[{{"well":"A1","rgb":{rgb}}}],"elapsed_us":1}}"#);
+            assert!(result_from_value(&from_json(&head).unwrap()).is_err(), "rgb {rgb}");
+        }
     }
 
     /// Results with every field populated at random: timing strings hold

@@ -34,7 +34,7 @@
 
 use crate::app::AppError;
 use crate::campaign::report::ScenarioOutcome;
-use crate::config::AppConfig;
+use crate::config::{need_u32, parse_rgb_triple, AppConfig};
 use crate::multi::MultiOt2Outcome;
 use crate::termination::TerminationReason;
 use sdl_conf::{from_json, to_json, Value, ValueExt};
@@ -198,7 +198,7 @@ impl ScenarioSummary {
                     .and_then(Value::as_seq)
                     .ok_or("multi.per_handler missing")?
                     .iter()
-                    .map(|x| x.as_i64().map(|i| i as u32).ok_or("per_handler entry"))
+                    .map(|x| need_u32(Some(x), "per_handler entry"))
                     .collect::<Result<Vec<u32>, _>>()?,
                 time_per_color: SimDuration::from_micros(need_u64(m, "time_per_color_us")?),
             }),
@@ -206,8 +206,8 @@ impl ScenarioSummary {
         Ok(ScenarioSummary {
             best_score: need_f64(v, "best_score")?,
             duration: SimDuration::from_micros(need_u64(v, "duration_us")?),
-            samples: need_u64(v, "samples")? as u32,
-            plates: need_u64(v, "plates")? as u32,
+            samples: need_u32(v.get("samples"), "samples")?,
+            plates: need_u32(v.get("plates"), "plates")?,
             robotic_commands: need_u64(v, "robotic_commands")?,
             solver_fallbacks: need_u64(v, "solver_fallbacks")?,
             single,
@@ -607,34 +607,32 @@ impl CampaignEvent {
             "scenario_started" => CampaignEvent::ScenarioStarted {
                 index: need_u64(v, "index")? as usize,
                 label: need_str(v, "label")?,
-                attempt: need_u64(v, "attempt")? as u32,
+                attempt: need_u32(v.get("attempt"), "attempt")?,
                 worker: need_str(v, "worker")?,
             },
             "batch_asked" => CampaignEvent::BatchAsked {
                 index: need_u64(v, "index")? as usize,
-                attempt: need_u64(v, "attempt")? as u32,
-                run: need_u64(v, "run")? as u32,
+                attempt: need_u32(v.get("attempt"), "attempt")?,
+                run: need_u32(v.get("run"), "run")?,
                 size: need_u64(v, "size")? as usize,
                 propose_us: need_u64(v, "propose_us")?,
             },
             "batch_told" => CampaignEvent::BatchTold {
                 index: need_u64(v, "index")? as usize,
-                attempt: need_u64(v, "attempt")? as u32,
-                run: need_u64(v, "run")? as u32,
+                attempt: need_u32(v.get("attempt"), "attempt")?,
+                run: need_u32(v.get("run"), "run")?,
                 size: need_u64(v, "size")? as usize,
                 elapsed_us: need_u64(v, "elapsed_us")?,
                 batch_wall_us: need_u64(v, "batch_wall_us")?,
             },
             "sample_published" => {
-                let measured = v.get("measured").and_then(Value::as_seq).ok_or("measured")?;
-                if measured.len() != 3 {
-                    return Err("measured must have 3 channels".into());
-                }
+                let measured = v.get("measured").ok_or("measured missing")?;
+                let measured = parse_rgb_triple(measured, "measured").map_err(|e| e.0)?;
                 CampaignEvent::SamplePublished {
                     index: need_u64(v, "index")? as usize,
-                    attempt: need_u64(v, "attempt")? as u32,
-                    run: need_u64(v, "run")? as u32,
-                    sample: need_u64(v, "sample")? as u32,
+                    attempt: need_u32(v.get("attempt"), "attempt")?,
+                    run: need_u32(v.get("run"), "run")?,
+                    sample: need_u32(v.get("sample"), "sample")?,
                     well: need_str(v, "well")?,
                     ratios: v
                         .get("ratios")
@@ -643,11 +641,7 @@ impl CampaignEvent {
                         .iter()
                         .map(|r| r.as_f64().ok_or("ratios entry"))
                         .collect::<Result<Vec<f64>, _>>()?,
-                    measured: [
-                        measured[0].as_i64().ok_or("measured entry")? as u8,
-                        measured[1].as_i64().ok_or("measured entry")? as u8,
-                        measured[2].as_i64().ok_or("measured entry")? as u8,
-                    ],
+                    measured: measured.channels(),
                     score: need_f64(v, "score")?,
                     best: need_f64(v, "best")?,
                     elapsed_us: need_u64(v, "elapsed_us")?,
@@ -657,14 +651,14 @@ impl CampaignEvent {
             "scenario_finished" => CampaignEvent::ScenarioFinished {
                 index: need_u64(v, "index")? as usize,
                 label: need_str(v, "label")?,
-                attempt: need_u64(v, "attempt")? as u32,
+                attempt: need_u32(v.get("attempt"), "attempt")?,
                 worker: need_str(v, "worker")?,
                 summary: ScenarioSummary::from_value(v.get("summary").ok_or("summary missing")?)?,
             },
             "scenario_failed" => CampaignEvent::ScenarioFailed {
                 index: need_u64(v, "index")? as usize,
                 label: need_str(v, "label")?,
-                attempt: need_u64(v, "attempt")? as u32,
+                attempt: need_u32(v.get("attempt"), "attempt")?,
                 worker: need_str(v, "worker")?,
                 error: need_str(v, "error")?,
             },
@@ -1134,6 +1128,64 @@ mod tests {
             assert_eq!(rec.seq, 7);
             assert_eq!(&rec.event, e);
         }
+    }
+
+    #[test]
+    fn out_of_range_counts_and_channels_are_refused_not_wrapped() {
+        let published = sample_events()
+            .into_iter()
+            .find(|e| matches!(e, CampaignEvent::SamplePublished { .. }))
+            .unwrap()
+            .to_value();
+        let with = |key: &str, value: Value| {
+            let mut v = published.clone();
+            v.set(key, value);
+            v
+        };
+        assert!(CampaignEvent::from_value(&with("sample", Value::Int(u32::MAX as i64))).is_ok());
+        for (key, n) in [("attempt", 1i64 << 32), ("run", (1 << 32) + 1), ("sample", (1 << 32) + 2)]
+        {
+            assert!(CampaignEvent::from_value(&with(key, Value::Int(n))).is_err(), "{key} {n}");
+        }
+        for measured in [vec![300, -1, 256], vec![300, 0, 0], vec![0, -1, 0], vec![0, 0, 256]] {
+            let v = with("measured", Value::from(measured.clone()));
+            assert!(CampaignEvent::from_value(&v).is_err(), "measured {measured:?}");
+        }
+
+        // A checksummed log line holding such an event is undecodable, so
+        // `EventLog::read` stops there.
+        let mut line = with("attempt", Value::Int(1 << 32));
+        let crc = fnv1a64(to_json(&line).as_bytes());
+        line.set("seq", 1i64);
+        line.set("crc", format!("{crc:016x}"));
+        assert!(EventRecord::from_line(&to_json(&line)).is_err());
+
+        let summary = ScenarioSummary {
+            best_score: 1.0,
+            duration: SimDuration::from_micros(5),
+            samples: 4,
+            plates: 1,
+            robotic_commands: 9,
+            solver_fallbacks: 0,
+            single: None,
+            multi: Some(MultiTelemetry {
+                n_ot2: 2,
+                total_commands: 12,
+                per_handler_samples: vec![2, 2],
+                time_per_color: SimDuration::from_micros(1),
+            }),
+        }
+        .to_value();
+        for key in ["samples", "plates"] {
+            let mut v = summary.clone();
+            v.set(key, (1i64 << 32) + 4);
+            assert!(ScenarioSummary::from_value(&v).is_err(), "{key}");
+        }
+        let mut multi = summary.get("multi").unwrap().clone();
+        multi.set("per_handler", Value::from(vec![2i64, (1 << 32) + 2]));
+        let mut v = summary;
+        v.set("multi", multi);
+        assert!(ScenarioSummary::from_value(&v).is_err(), "per_handler");
     }
 
     #[test]

@@ -130,7 +130,7 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Parse an `[r, g, b]` triple of 0-255 integers.
-fn parse_rgb_triple(v: &Value, what: &str) -> Result<Rgb8, ConfigError> {
+pub(crate) fn parse_rgb_triple(v: &Value, what: &str) -> Result<Rgb8, ConfigError> {
     let t =
         v.as_seq().ok_or_else(|| ConfigError(format!("{what} must be a [r, g, b] sequence")))?;
     if t.len() != 3 {
@@ -176,6 +176,15 @@ pub(crate) fn positive_u32(key: &str, v: &Value) -> Result<u32, ConfigError> {
         .ok()
         .filter(|&n| n > 0)
         .ok_or_else(|| ConfigError(format!("{key} must be in 1..={}, got {n}", u32::MAX)))
+}
+
+/// A count in a decoded `/v1` body or event-log line: an integer in
+/// `0..=u32::MAX`. A missing value, another type or an integer outside that
+/// range is refused with an error naming `what`, never wrapped.
+pub(crate) fn need_u32(v: Option<&Value>, what: &str) -> Result<u32, String> {
+    v.and_then(Value::as_i64)
+        .and_then(|n| u32::try_from(n).ok())
+        .ok_or_else(|| format!("{what} must be an integer in 0..={}", u32::MAX))
 }
 
 /// A document's entries in the order they apply: the `metric` alias

@@ -797,6 +797,22 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_run_is_refused_not_wrapped_onto_a_cached_run() {
+        let host = LabHost::new();
+        let created = post(&host, "/v1/experiments", r#"{"samples": 4, "batch": 2}"#);
+        let session = json(&created).opt_str("session").unwrap().to_string();
+        let body = r#"{"run": 1, "ratios": [[0.5, 0.25, 0.0, 0.1], [0.0, 0.0, 0.0, 1.0]]}"#;
+        assert_eq!(post(&host, &format!("/v1/batch?session={session}"), body).status, 200);
+        // 2^32 + 1 would wrap to run 1 and replay its cached body.
+        let wrapped =
+            r#"{"run": 4294967297, "ratios": [[0.1, 0.2, 0.3, 0.4], [0.2, 0.2, 0.2, 0.2]]}"#;
+        let resp = post(&host, &format!("/v1/batch?session={session}"), wrapped);
+        assert_eq!(resp.status, 400, "{}", String::from_utf8_lossy(&resp.body));
+        assert_eq!(host.metrics().executed(), 1);
+        assert_eq!(host.metrics().replays(), 0);
+    }
+
+    #[test]
     fn worker_chaos_faults_fire_on_schedule() {
         // kill=1: every /v1 request is a hangup, and /metrics says so.
         let host = LabHost::new().with_chaos(ChaosPolicy::parse("seed=1,kill=1").unwrap());
