@@ -6,8 +6,8 @@
 //! library; these pure-arithmetic f32 kernels (exponent split + atanh
 //! series for `ln`, eighth-turn Taylor polynomials for sin/cos) make the
 //! fast path a function of IEEE-754 single-precision arithmetic alone, so
-//! frames are bit-identical across platforms as well as across tile sizes
-//! and thread counts. Everything is 32 bits wide, so the renderer's noise
+//! frames are bit-identical across platforms as well as across tile sizes.
+//! Everything is 32 bits wide, so the renderer's noise
 //! passes run 8 lanes per AVX2 register: the hash's `u32` multiplies are
 //! one `vpmulld` each, where a 64-bit multiply costs three `vpmuludq`.
 //!

@@ -10,9 +10,9 @@
 //! The default path ([`Fidelity::Fast`] / [`Fidelity::Lowres`]) derives
 //! each pixel's Gaussian noise from `(frame_seed, pixel, channel)` through
 //! a 32-bit counter hash keyed by both halves of the frame seed, instead
-//! of one sequential RNG stream. Rendering is therefore embarrassingly
-//! parallel: [`render_tiled`] splits the frame into row tiles and produces
-//! bit-identical bytes at any tile size and thread count. Each Box–Muller
+//! of one sequential RNG stream. A frame is therefore the same whatever
+//! order its pixels are rendered in: [`render_tiled`] renders it in row
+//! tiles and produces bit-identical bytes at any tile size. Each Box–Muller
 //! pair takes two 24-bit uniforms from the hash, and its `ln`, `sqrt` and
 //! sin/cos run in f32 with the pure-arithmetic kernels of
 //! `crate::fastmath`, 8 lanes per AVX2 register; the variates are widened
@@ -144,29 +144,13 @@ pub(crate) const MARKER_BLACK: LinRgb = LinRgb::new(0.012, 0.012, 0.012);
 /// rim, which is what makes HoughCircles prone to false negatives on them.
 pub(crate) const WALL_MM: f64 = 0.7;
 
-/// Default row-tile height for the counter-based path: tall enough to
-/// amortize dispatch, short enough to load-balance across a worker pool.
+/// Default row-tile height for the counter-based path.
 const DEFAULT_TILE_ROWS: usize = 32;
 
 /// The process-wide sRGB cutpoint table (built once, ~16 µs).
 fn quantizer() -> &'static SrgbQuantizer {
     static Q: OnceLock<SrgbQuantizer> = OnceLock::new();
     Q.get_or_init(SrgbQuantizer::new)
-}
-
-/// Worker threads the default render entry points use for tiling: the
-/// `SDL_RENDER_THREADS` environment variable, else 1. Campaign workers
-/// already saturate the cores with whole scenarios, so intra-frame
-/// parallelism is opt-in; frames are bit-identical at any setting.
-fn configured_threads() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("SDL_RENDER_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    })
 }
 
 /// Render the scene to an 8-bit frame.
@@ -190,26 +174,19 @@ pub fn render_into(scene: &PlateScene, rng: &mut impl Rng, img: &mut ImageRgb8) 
         Fidelity::Full => render_reference_into(scene, rng, img),
         Fidelity::Fast | Fidelity::Lowres => {
             let frame_seed = rng.next_u64();
-            render_tiled(scene, frame_seed, img, DEFAULT_TILE_ROWS, configured_threads());
+            render_tiled(scene, frame_seed, img, DEFAULT_TILE_ROWS);
         }
     }
 }
 
 /// The counter-based render path with explicit tiling: split the frame
-/// into `tile_rows`-row tiles and render them across `threads` workers.
+/// into `tile_rows`-row tiles and render them in order.
 ///
 /// The output is a pure function of `(scene, frame_seed)` — **bit-identical
-/// for every `tile_rows` ≥ 1 and `threads` ≥ 1** — because each pixel's
-/// noise comes from the order-independent counter field, not from a shared
-/// sequential stream. This is the property the tile/order-independence
-/// suite pins.
-pub fn render_tiled(
-    scene: &PlateScene,
-    frame_seed: u64,
-    img: &mut ImageRgb8,
-    tile_rows: usize,
-    threads: usize,
-) {
+/// for every `tile_rows` ≥ 1** — because each pixel's noise comes from the
+/// order-independent counter field, not from a shared sequential stream.
+/// This is the property the tile-independence suite pins.
+pub fn render_tiled(scene: &PlateScene, frame_seed: u64, img: &mut ImageRgb8, tile_rows: usize) {
     let w = scene.camera.width_px;
     let h = scene.camera.height_px;
     if img.width() != w || img.height() != h {
@@ -218,31 +195,9 @@ pub fn render_tiled(
     let tile_rows = tile_rows.max(1);
     let frame = FramePlan::new(scene, frame_seed);
 
-    let tile_bytes = tile_rows * w * 3;
-    if threads <= 1 || h <= tile_rows {
-        for (t, tile) in img.bytes_mut().chunks_mut(tile_bytes).enumerate() {
-            frame.render_rows(t * tile_rows, tile);
-        }
-        return;
+    for (t, tile) in img.bytes_mut().chunks_mut(tile_rows * w * 3).enumerate() {
+        frame.render_rows(t * tile_rows, tile);
     }
-
-    // Deal tiles round-robin onto the workers: consecutive tiles land on
-    // different threads, which load-balances the (slightly) cheaper bench
-    // rows at the frame edges.
-    let mut buckets: Vec<Vec<(usize, &mut [u8])>> = (0..threads).map(|_| Vec::new()).collect();
-    for (t, tile) in img.bytes_mut().chunks_mut(tile_bytes).enumerate() {
-        buckets[t % threads].push((t, tile));
-    }
-    std::thread::scope(|scope| {
-        for bucket in buckets {
-            let frame = &frame;
-            scope.spawn(move || {
-                for (t, tile) in bucket {
-                    frame.render_rows(t * tile_rows, tile);
-                }
-            });
-        }
-    });
 }
 
 /// What the counter path derives once per frame and every tile reads: the

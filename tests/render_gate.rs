@@ -51,7 +51,7 @@ fn fast_path_detections_match_reference_within_tolerance() {
             panic!("scenario {i}: reference frame undetectable: {e}");
         });
         let mut fast_frame = ImageRgb8::new(1, 1, Default::default());
-        render_tiled(&scene, 0x5EED ^ i, &mut fast_frame, 32, 1);
+        render_tiled(&scene, 0x5EED ^ i, &mut fast_frame, 32);
         let fast = detector.detect(&fast_frame).unwrap_or_else(|e| {
             panic!("scenario {i}: fast frame undetectable: {e}");
         });
@@ -85,7 +85,7 @@ fn lowres_profile_degrades_gracefully_not_catastrophically() {
         let mut scene = scenario(i);
         scene.camera = CameraGeometry::for_fidelity(Fidelity::Lowres);
         let mut frame = ImageRgb8::new(1, 1, Default::default());
-        render_tiled(&scene, 0xA5 ^ i, &mut frame, 32, 1);
+        render_tiled(&scene, 0xA5 ^ i, &mut frame, 32);
         let reading = detector
             .detect(&frame)
             .unwrap_or_else(|e| panic!("scenario {i}: lowres frame undetectable: {e}"));
