@@ -218,7 +218,6 @@ impl Simulation {
     /// error.
     pub fn run(mut self) -> Result<SimTime, SimError> {
         let mut cx = Context::from_waker(Waker::noop());
-        let mut alive = self.bodies.len();
         loop {
             let next = self.kernel.borrow_mut().next_wake();
             let Some(proc) = next else { break };
@@ -227,13 +226,12 @@ impl Simulation {
                 Ok(Poll::Pending) => {}
                 Ok(Poll::Ready(())) => {
                     self.bodies[proc] = None;
-                    alive -= 1;
                     self.kernel.borrow_mut().finish(proc);
                 }
                 Err(_) => return Err(SimError::ProcessPanicked { name: self.names[proc].clone() }),
             }
         }
-        if alive > 0 {
+        if self.bodies.iter().any(Option::is_some) {
             let blocked = self
                 .kernel
                 .borrow()
