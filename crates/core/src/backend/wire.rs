@@ -139,10 +139,12 @@ pub fn result_from_value(v: &Value) -> Result<BatchResult, ConfigError> {
         measurements,
         elapsed: SimTime::from_micros(need_u64(v, "elapsed_us")?),
         // Absent on pre-telemetry workers: a zero wall is the recorded
-        // "unknown" value, matching the old zeroed-telemetry behavior.
-        batch_wall: SimDuration::from_micros(
-            v.opt_i64("batch_wall_us").map(|us| us.max(0) as u64).unwrap_or(0),
-        ),
+        // "unknown" value, matching the old zeroed-telemetry behavior. A
+        // present wall must be a non-negative integer like every other time.
+        batch_wall: SimDuration::from_micros(match v.get("batch_wall_us") {
+            Some(wall) if !wall.is_null() => need_u64(v, "batch_wall_us")?,
+            _ => 0,
+        }),
         timing: v.get("timing").cloned(),
         image: None,
     })
@@ -439,6 +441,12 @@ mod tests {
         let mut v = close;
         v.set("metrics", metrics);
         assert!(close_from_value(&v).is_err(), "colors_mixed");
+
+        // A batch wall, when present, is a non-negative integer too.
+        for wall in ["-5", "1.5", "\"7\""] {
+            let head = format!(r#"{{"measurements":[],"elapsed_us":1,"batch_wall_us":{wall}}}"#);
+            assert!(result_from_value(&from_json(&head).unwrap()).is_err(), "batch_wall_us {wall}");
+        }
 
         // An rgb entry must be exactly three 0-255 integers.
         for rgb in ["[1, 2, 3, \"x\"]", "[1, 2, 256]", "[-1, 2, 3]", "[1, 2]"] {
