@@ -278,20 +278,37 @@ mod tests {
                 ctx.acquire(arm).await;
                 let start = ctx.now();
                 ctx.hold(SimDuration::from_secs(10)).await;
-                spans.borrow_mut().push((start, ctx.now()));
+                spans.borrow_mut().push((i, start, ctx.now()));
                 ctx.release(arm);
             });
         }
         assert_eq!(sim.run(), Ok(SimTime::from_secs(30)));
-        // Non-overlapping, FIFO order.
+        // Non-overlapping, granted in request order.
         assert_eq!(
             *spans.borrow(),
             vec![
-                (SimTime::ZERO, SimTime::from_secs(10)),
-                (SimTime::from_secs(10), SimTime::from_secs(20)),
-                (SimTime::from_secs(20), SimTime::from_secs(30)),
+                (0, SimTime::ZERO, SimTime::from_secs(10)),
+                (1, SimTime::from_secs(10), SimTime::from_secs(20)),
+                (2, SimTime::from_secs(20), SimTime::from_secs(30)),
             ]
         );
+    }
+
+    #[test]
+    fn a_free_unit_resumes_behind_the_wakes_already_queued() {
+        let mut sim = Simulation::default();
+        let arm = sim.resource(1);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let l = log.clone();
+        sim.process("a", move |mut ctx| async move {
+            ctx.acquire(arm).await;
+            l.borrow_mut().push("a granted");
+        });
+        let l = log.clone();
+        sim.process("b", move |_ctx| async move { l.borrow_mut().push("b started") });
+        assert_eq!(sim.run(), Ok(SimTime::ZERO));
+        // b's start was queued at t = 0 before a's grant.
+        assert_eq!(*log.borrow(), vec!["b started", "a granted"]);
     }
 
     #[test]
