@@ -7,9 +7,9 @@
 //! series for `ln`, eighth-turn Taylor polynomials for sin/cos) make the
 //! fast path a function of IEEE-754 single-precision arithmetic alone, so
 //! frames are bit-identical across platforms as well as across tile sizes.
-//! Everything is 32 bits wide, so the renderer's noise
-//! passes run 8 lanes per AVX2 register: the hash's `u32` multiplies are
-//! one `vpmulld` each, where a 64-bit multiply costs three `vpmuludq`.
+//! Everything is 32 bits wide, so the renderer's noise passes run 8 lanes
+//! per AVX2 register: the hash's `u32` multiplies are one `vpmulld` each,
+//! where a 64-bit multiply costs three `vpmuludq`.
 //!
 //! Accuracy: |relative error| < 3e-7 for [`ln_f32`] on (0, 1], absolute
 //! error < 2e-7 for [`sincos_2pi_f32`]. Noise is applied at sigma ~6e-3
